@@ -27,13 +27,16 @@
 // stale) rather than poisoning the fresh cache.
 //
 // The engine is also the guarded-execution boundary (common/status.hpp):
-// under ExecPolicy::Fast the gemm/trsm entry points behave exactly like
-// the raw plans; under Check they additionally report numerical hazards
-// in a BatchHealth; under Fallback any classified failure is retried on
-// the scalar reference path and recorded instead of thrown. A per-call
-// deadline (set_call_deadline) bounds each gemm/trsm: expiry surfaces as
-// Status::Timeout with partial-work accounting -- it is rethrown, never
-// degraded to a fallback recompute, which could only take longer.
+// under ExecPolicy::Fast every compute entry point (gemm, trsm, the
+// factorisations, their grouped and packed-handle forms) behaves exactly
+// like the raw plans; under Check they additionally report numerical
+// hazards in a BatchHealth; under Fallback any classified failure is
+// retried on the scalar reference path and recorded instead of thrown.
+// One single-call driver and one grouped driver implement this for all
+// ops (DESIGN.md section 7). A per-call deadline (set_call_deadline)
+// bounds each call: expiry surfaces as Status::Timeout with partial-work
+// accounting -- it is rethrown, never degraded to a fallback recompute,
+// which could only take longer.
 #pragma once
 
 #include <array>
@@ -150,18 +153,17 @@ public:
   /// begins, i.e. before main() returns (DESIGN.md section 12).
   ~Engine();
 
-  /// Get or build the plan for a GEMM descriptor. `layout` is part of
-  /// the cache key (0 = raw buffers, 1 = packed handles) so the packed
-  /// and unpacked variants of one descriptor coexist as distinct entries.
+  /// Get or build the plan for a GEMM descriptor. Raw-buffer and
+  /// packed-handle calls of one descriptor share the entry: the operand
+  /// form never changes plan construction (DESIGN.md section 13.2).
   template <class T, int Bytes = 16>
   std::shared_ptr<const plan::GemmPlan<T, Bytes>>
-  plan_gemm(const GemmShape& shape, std::uint8_t layout = 0);
+  plan_gemm(const GemmShape& shape);
 
-  /// Get or build the plan for a TRSM descriptor; see plan_gemm for
-  /// `layout`.
+  /// Get or build the plan for a TRSM descriptor.
   template <class T, int Bytes = 16>
   std::shared_ptr<const plan::TrsmPlan<T, Bytes>>
-  plan_trsm(const TrsmShape& shape, std::uint8_t layout = 0);
+  plan_trsm(const TrsmShape& shape);
 
   /// C = alpha * op_a(A) * op_b(B) + beta * C for every matrix in the
   /// batch. Shapes are inferred from the buffers and the ops. The returned
@@ -227,10 +229,9 @@ public:
   void unpack(const factor::PackedHandle<T>& handle, T* dst, index_t ld,
               index_t matrix_stride);
 
-  /// GEMM over packed handles: identical semantics to the buffer overload
-  /// but the plan is cached under the packed layout state (both variants
-  /// coexist), three reuse hits are counted, and C's epoch is bumped.
-  /// Every handle must be valid or the call throws InvalidArg.
+  /// GEMM over packed handles: identical semantics (and plan-cache entry)
+  /// to the buffer overload; three reuse hits are counted and C's epoch
+  /// is bumped. Every handle must be valid or the call throws InvalidArg.
   template <class T, int Bytes = 16>
   BatchHealth gemm(Op op_a, Op op_b, T alpha,
                    const factor::PackedHandle<T>& a,
@@ -249,8 +250,9 @@ public:
   /// restored to their original input -- instead of poisoning the batch,
   /// while healthy lanes keep their factorisation. The strict upper
   /// triangle is not referenced or written; pad lanes are reset to
-  /// identity. Factor plans dispatch no registry kernels, so the kernel
-  /// verify-and-quarantine gate and the per-class breaker do not apply.
+  /// identity. Admission, the per-class breaker and transient retry
+  /// apply as for gemm; factor plans dispatch no registry kernels, so
+  /// the kernel verify-and-quarantine gate does not.
   template <class T, int Bytes = 16>
   BatchHealth potrf_batch(CompactBuffer<T>& a);
 
@@ -279,18 +281,18 @@ public:
   /// routine and its batch. One admission slot covers the whole call
   /// (like gemm_grouped); plans resolve per distinct descriptor class
   /// through the shared cache and the distinct-plan histogram is updated.
-  /// Segments execute sequentially (factor plans are single register
-  /// sweeps; there is no per-group work splitting to interleave).
+  /// Segments execute sequentially, class by class, each one guarded
+  /// exactly like a single factorisation call (breaker gate, retry,
+  /// per-lane repair): factor plans are single register sweeps with no
+  /// per-group work splitting to interleave.
   template <class T, int Bytes = 16>
   std::vector<BatchHealth>
   factor_grouped(std::span<const sched::FactorSegment<T>> segments);
 
-  /// Get or build the plan for a factorisation descriptor. `layout` is
-  /// the layout state the plan is keyed under (0 = raw buffers, 1 =
-  /// packed handles), mirroring the keying of plan_gemm/plan_trsm.
+  /// Get or build the plan for a factorisation descriptor.
   template <class T, int Bytes = 16>
   std::shared_ptr<const factor::FactorPlan<T, Bytes>>
-  plan_factor(const factor::FactorShape& shape, std::uint8_t layout = 0);
+  plan_factor(const factor::FactorShape& shape);
 
   const CacheInfo& cache_info() const noexcept { return cache_; }
 
@@ -439,7 +441,8 @@ public:
   /// Transient-fault retry under ExecPolicy::Fallback: allocation and
   /// worker failures are retried up to max_attempts total attempts with
   /// capped exponential backoff before degrading to the reference path.
-  /// Also seeded from $IATF_RETRY_MAX. Default: no retry.
+  /// Applies to every op, single and grouped calls alike. Also seeded
+  /// from $IATF_RETRY_MAX. Default: no retry (max_attempts 1).
   void set_retry_policy(const resilience::RetryPolicy& policy) noexcept {
     retry_attempts_.store(policy.max_attempts, std::memory_order_relaxed);
     retry_base_ns_.store(policy.base_delay.count(),
@@ -455,9 +458,10 @@ public:
     return p;
   }
 
-  /// Degradation circuit breaker over descriptor classes; see
-  /// resilience::BreakerConfig (window == 0 disables, the default; also
-  /// seeded from $IATF_BREAKER_WINDOW). Reconfiguring resets every slot.
+  /// Degradation circuit breaker over descriptor classes (gemm, trsm and
+  /// each factorisation descriptor alike); see resilience::BreakerConfig
+  /// (window == 0 disables, the default; also seeded from
+  /// $IATF_BREAKER_WINDOW). Reconfiguring resets every slot.
   void set_breaker_config(const resilience::BreakerConfig& config) {
     breaker_.configure(config);
   }
@@ -530,21 +534,19 @@ public:
   static Engine& default_engine();
 
 private:
+  /// Plan-cache key: the descriptor class (op tag, dimensions, mode bits,
+  /// batch, register width) plus the scalar type. Its hash is also the
+  /// breaker slot of the class.
   struct PlanKey {
-    char op = 0;    // 'g', 't', 'p' (potrf), 'l' (getrf_np), 'i' (trtri)
+    sched::ClassKey cls;
     char dtype = 0; // 's','d','c','z'
-    int bytes = 0;  // SIMD register width
-    index_t m = 0, n = 0, k = 0;
-    std::uint8_t op_a = 0, op_b = 0, side = 0, uplo = 0, diag = 0;
-    /// Layout state of the operands: 0 = raw compact buffers, 1 = packed
-    /// handles. Keying on it keeps both variants of one descriptor live
-    /// in the cache side by side.
-    std::uint8_t layout = 0;
-    index_t batch = 0;
 
     friend bool operator==(const PlanKey&, const PlanKey&) = default;
   };
 
+  /// FNV-1a over the fields, finalised with MurmurHash3's fmix64 so every
+  /// field reaches every output bit: the breaker takes its slot from the
+  /// low bits and the cache its shard from the high ones.
   struct PlanKeyHash {
     std::size_t operator()(const PlanKey& k) const noexcept;
   };
@@ -619,44 +621,73 @@ private:
                                   const tune::TuneKey& key,
                                   bool* from_table) const;
 
-  /// Full gemm/trsm pipelines with an explicit layout state; the public
-  /// buffer overloads forward with layout 0, the packed-handle overloads
-  /// with layout 1.
-  template <class T, int Bytes>
-  BatchHealth gemm_at(Op op_a, Op op_b, T alpha, const CompactBuffer<T>& a,
-                      const CompactBuffer<T>& b, T beta, CompactBuffer<T>& c,
-                      std::uint8_t layout);
-  template <class T, int Bytes>
-  BatchHealth trsm_at(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
-                      const CompactBuffer<T>& a, CompactBuffer<T>& b,
-                      std::uint8_t layout);
+  // --- Guarded execution (DESIGN.md sections 7, 10.3, 11) --------------
+  //
+  // Written once over the op traits of src/core/engine_ops.hpp
+  // (GemmOp, TrsmOp, FactorOp): `OpT` below is always one of them.
 
-  template <class T, int Bytes>
-  BatchHealth guarded_gemm(const GemmShape& shape, T alpha,
-                           const CompactBuffer<T>& a,
-                           const CompactBuffer<T>& b, T beta,
-                           CompactBuffer<T>& c, ExecPolicy policy,
-                           ThreadPool* pool, const Deadline* deadline,
-                           std::uint8_t layout);
-  template <class T, int Bytes>
-  BatchHealth guarded_trsm(const TrsmShape& shape, T alpha,
-                           const CompactBuffer<T>& a, CompactBuffer<T>& b,
-                           ExecPolicy policy, ThreadPool* pool,
-                           const Deadline* deadline, std::uint8_t layout);
+  struct CallContext; ///< policy, pool and deadline read at call entry
+  class Admission;    ///< admit_call / release_call pairing (RAII)
+  class BreakerGate;  ///< one class's breaker decision; records on exit
+  struct Retry;       ///< transient-retry budget of one call
 
-  /// Admission + deadline + policy dispatch for one factorisation call
-  /// (the factor analogue of gemm_at); `factor_execute` is the post-
-  /// admission core shared with factor_grouped.
-  template <class T, int Bytes>
-  BatchHealth factor_dispatch(const factor::FactorShape& shape,
-                              CompactBuffer<T>& a, std::uint8_t layout);
-  template <class T, int Bytes>
-  BatchHealth factor_execute(const factor::FactorShape& shape,
-                             CompactBuffer<T>& a, ExecPolicy policy,
-                             const Deadline* deadline, std::uint8_t layout);
-  template <class T, int Bytes>
-  BatchHealth ref_route_factor(const factor::FactorShape& shape,
-                               CompactBuffer<T>& a, DegradeEvent event);
+  /// The single-call driver: admission, then call_core. Every public
+  /// compute overload is a thin wrapper over it.
+  template <class OpT> BatchHealth run_call(const OpT& op);
+
+  /// Post-admission core shared with factor_grouped: breaker gate,
+  /// verify gate, execution (with snapshot, transient retry and
+  /// whole-call fallback when guarded) and per-lane hazard repair.
+  template <class OpT>
+  BatchHealth call_core(const OpT& op, const CallContext& ctx);
+
+  /// The grouped driver behind gemm_grouped/trsm_grouped: binning,
+  /// per-class gating, pool interleave or sequential run, whole-call
+  /// fallback and per-segment repair.
+  template <class OpT>
+  std::vector<BatchHealth>
+  run_grouped(std::span<const typename OpT::Segment> segments);
+
+  /// Serve one whole call on the scalar reference path, recording the
+  /// degradation. Used for quarantined plans, Open breaker slots and
+  /// DegradeToRef admission.
+  template <class OpT>
+  BatchHealth ref_route(const OpT& op, DegradeEvent event);
+
+  /// The breaker gate of the class `shape` belongs to: Allow, Probe (the
+  /// "resilience.probe" fault site fails it) or a BreakerOpen route.
+  template <class OpT>
+  BreakerGate open_gate(const typename OpT::Shape& shape);
+
+  /// False when the plan references a quarantined kernel (the caller
+  /// ref-routes); always true for ops without registry kernels.
+  template <class OpT> bool dispatchable(const typename OpT::Plan& plan);
+
+  /// After a classified failure: true when `event` is transient and the
+  /// retry budget and deadline allow another attempt, in which case the
+  /// retry is counted and its backoff slept.
+  bool retry_after(DegradeEvent event, Retry& retry,
+                   const Deadline* deadline);
+
+  /// Count one degraded call serving `lanes` lanes on the ref path.
+  void note_degraded(std::uint64_t lanes, bool ref_routed) noexcept;
+
+  /// Cached plan of one op descriptor (plan_gemm/plan_trsm/plan_factor).
+  template <class OpT>
+  std::shared_ptr<const typename OpT::Plan>
+  plan_for(const typename OpT::Shape& shape);
+
+  template <class OpT>
+  static PlanKey plan_key(const typename OpT::Shape& shape);
+
+  /// Breaker slot hash of one descriptor class (the plan-key hash).
+  template <class OpT>
+  std::size_t class_slot(const typename OpT::Shape& shape) const {
+    return PlanKeyHash{}(plan_key<OpT>(shape));
+  }
+
+  /// force_open + journal: the body of trip_gemm_class/trip_trsm_class.
+  void trip_class(std::size_t slot, int cooldown_calls);
 
   /// Count one non-empty grouped call that resolved `distinct` plans.
   void record_grouped_plans(std::size_t distinct) noexcept;
@@ -688,32 +719,9 @@ private:
   template <class T, int Bytes>
   bool run_trsm_canary(const resilience::KernelUse& use);
 
-  template <class T, int Bytes>
-  static PlanKey gemm_plan_key(const GemmShape& shape,
-                               std::uint8_t layout = 0);
-  template <class T, int Bytes>
-  static PlanKey trsm_plan_key(const TrsmShape& shape,
-                               std::uint8_t layout = 0);
-  template <class T, int Bytes>
-  static PlanKey factor_plan_key(const factor::FactorShape& shape,
-                                 std::uint8_t layout);
-
   /// Drop every cached entry referencing a quarantined kernel (their
   /// descriptor classes rebuild through single-flight on the next miss).
   void invalidate_quarantined_plans();
-
-  /// Serve one whole call on the scalar reference path, recording the
-  /// degradation. Used for quarantined plans, Open breaker slots and
-  /// DegradeToRef admission.
-  template <class T, int Bytes>
-  BatchHealth ref_route_gemm(const GemmShape& shape, T alpha,
-                             const CompactBuffer<T>& a,
-                             const CompactBuffer<T>& b, T beta,
-                             CompactBuffer<T>& c, DegradeEvent event);
-  template <class T, int Bytes>
-  BatchHealth ref_route_trsm(const TrsmShape& shape, T alpha,
-                             const CompactBuffer<T>& a, CompactBuffer<T>& b,
-                             DegradeEvent event);
 
   template <class T, int Bytes>
   std::size_t self_test_type();

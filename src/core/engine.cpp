@@ -7,92 +7,22 @@
 #include <exception>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "engine_ops.hpp"
 #include "iatf/common/error.hpp"
 #include "iatf/common/fault_inject.hpp"
 #include "iatf/ref/ref_blas.hpp"
 #include "iatf/tune/descriptor.hpp"
 #include "iatf/tune/tuning_table.hpp"
-#include "engine_internal.hpp"
 
 namespace iatf {
 namespace {
 
-using detail::classify_failure;
-using detail::restore_lane;
-
-template <class T> constexpr char dtype_tag() {
-  return blas_prefix_v<T>[0];
-}
-
-/// The fallback path reads the buffers directly, so it must re-validate
-/// the consistency the plan normally checks -- plan construction may have
-/// failed before any validation ran.
-template <class T>
-void validate_gemm_fallback(const GemmShape& s, const CompactBuffer<T>& a,
-                            const CompactBuffer<T>& b,
-                            const CompactBuffer<T>& c) {
-  const bool ta = s.op_a != Op::NoTrans;
-  const bool tb = s.op_b != Op::NoTrans;
-  IATF_CHECK(s.m >= 0 && s.n >= 0 && s.k >= 0 && s.batch >= 0,
-             "gemm: negative dimension");
-  IATF_CHECK(a.rows() == (ta ? s.k : s.m) && a.cols() == (ta ? s.m : s.k),
-             "gemm: operand A has mismatched dimensions");
-  IATF_CHECK(b.rows() == (tb ? s.n : s.k) && b.cols() == (tb ? s.k : s.n),
-             "gemm: operand B has mismatched dimensions");
-  IATF_CHECK(a.batch() == s.batch && b.batch() == s.batch &&
-                 c.batch() == s.batch,
-             "gemm: operand batch sizes do not match");
-}
-
-template <class T>
-void validate_trsm_fallback(const TrsmShape& s, const CompactBuffer<T>& a,
-                            const CompactBuffer<T>& b) {
-  IATF_CHECK(s.m >= 0 && s.n >= 0 && s.batch >= 0,
-             "trsm: negative dimension");
-  IATF_CHECK(a.rows() == s.a_dim() && a.cols() == s.a_dim(),
-             "trsm: A must be a_dim x a_dim");
-  IATF_CHECK(a.batch() == s.batch && b.batch() == s.batch,
-             "trsm: operand batch sizes do not match");
-}
-
-/// Recompute one lane with the scalar reference GEMM. The lane's C must
-/// hold the original (pre-call) values so beta applies correctly.
-template <class T>
-void ref_gemm_lane(const GemmShape& s, T alpha, const CompactBuffer<T>& a,
-                   const CompactBuffer<T>& b, T beta, CompactBuffer<T>& c,
-                   index_t lane) {
-  const index_t lda = std::max<index_t>(a.rows(), 1);
-  const index_t ldb = std::max<index_t>(b.rows(), 1);
-  const index_t ldc = std::max<index_t>(c.rows(), 1);
-  std::vector<T> ta(static_cast<std::size_t>(a.rows() * a.cols()));
-  std::vector<T> tb(static_cast<std::size_t>(b.rows() * b.cols()));
-  std::vector<T> tc(static_cast<std::size_t>(c.rows() * c.cols()));
-  a.export_colmajor(lane, ta.data(), lda);
-  b.export_colmajor(lane, tb.data(), ldb);
-  c.export_colmajor(lane, tc.data(), ldc);
-  ref::gemm(s.op_a, s.op_b, s.m, s.n, s.k, alpha, ta.data(), lda,
-            tb.data(), ldb, beta, tc.data(), ldc);
-  c.import_colmajor(lane, tc.data(), ldc);
-}
-
-/// Recompute one lane with the scalar reference TRSM. The lane's B must
-/// hold the original right-hand side, not the partial fast-path solution.
-template <class T>
-void ref_trsm_lane(const TrsmShape& s, T alpha, const CompactBuffer<T>& a,
-                   CompactBuffer<T>& b, index_t lane) {
-  const index_t lda = std::max<index_t>(a.rows(), 1);
-  const index_t ldb = std::max<index_t>(b.rows(), 1);
-  std::vector<T> ta(static_cast<std::size_t>(a.rows() * a.cols()));
-  std::vector<T> tb(static_cast<std::size_t>(b.rows() * b.cols()));
-  a.export_colmajor(lane, ta.data(), lda);
-  b.export_colmajor(lane, tb.data(), ldb);
-  ref::trsm(s.side, s.uplo, s.op_a, s.diag, s.m, s.n, alpha, ta.data(),
-            lda, tb.data(), ldb);
-  b.import_colmajor(lane, tb.data(), ldb);
-}
+using detail::dtype_tag;
 
 std::size_t resolve_capacity(std::size_t requested) {
   if (requested > 0) {
@@ -234,47 +164,22 @@ void backoff_sleep(std::chrono::nanoseconds delay,
 /// descending tile caps until the command queue avoids every quarantined
 /// kernel. When no cap combination helps, the plan is pre-marked
 /// Quarantined so dispatch ref-routes it without re-running canaries.
-template <class T, int Bytes>
-void substitute_quarantined(
-    std::unique_ptr<plan::GemmPlan<T, Bytes>>& plan, const GemmShape& shape,
-    const CacheInfo& cache, const plan::PlanTuning& tuning,
-    const resilience::KernelGuard& guard) {
+template <class OpT>
+void substitute_quarantined(std::unique_ptr<typename OpT::Plan>& plan,
+                            const typename OpT::Shape& shape,
+                            const CacheInfo& cache,
+                            const plan::PlanTuning& tuning,
+                            const resilience::KernelGuard& guard) {
   if (!guard.any_quarantined(kernel_ids_of(*plan))) {
     return;
   }
-  using Limits = kernels::KernelLimits<T>;
-  for (index_t mc = Limits::gemm_max_mc; mc >= 1; --mc) {
-    for (index_t nc = Limits::gemm_max_nc; nc >= 1; --nc) {
+  for (index_t mc = OpT::mc_cap; mc >= 1; --mc) {
+    for (index_t nc = OpT::nc_cap; nc >= 1; --nc) {
       plan::PlanTuning t = tuning;
       t.mc_cap = mc;
       t.nc_cap = nc;
       auto candidate =
-          std::make_unique<plan::GemmPlan<T, Bytes>>(shape, cache, t);
-      if (!guard.any_quarantined(kernel_ids_of(*candidate))) {
-        plan = std::move(candidate);
-        return;
-      }
-    }
-  }
-  plan->set_verify_state(resilience::PlanVerify::Quarantined);
-}
-
-template <class T, int Bytes>
-void substitute_quarantined(
-    std::unique_ptr<plan::TrsmPlan<T, Bytes>>& plan, const TrsmShape& shape,
-    const CacheInfo& cache, const plan::PlanTuning& tuning,
-    const resilience::KernelGuard& guard) {
-  if (!guard.any_quarantined(kernel_ids_of(*plan))) {
-    return;
-  }
-  using Limits = kernels::KernelLimits<T>;
-  for (index_t mc = Limits::trsm_block; mc >= 1; --mc) {
-    for (index_t nc = Limits::tri_max_nc; nc >= 1; --nc) {
-      plan::PlanTuning t = tuning;
-      t.mc_cap = mc;
-      t.nc_cap = nc;
-      auto candidate =
-          std::make_unique<plan::TrsmPlan<T, Bytes>>(shape, cache, t);
+          std::make_unique<typename OpT::Plan>(shape, cache, t);
       if (!guard.any_quarantined(kernel_ids_of(*candidate))) {
         plan = std::move(candidate);
         return;
@@ -339,31 +244,24 @@ Engine::~Engine() {
 }
 
 std::size_t Engine::PlanKeyHash::operator()(const PlanKey& k) const noexcept {
-  // FNV-1a over the key's fields.
-  std::size_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(static_cast<std::uint64_t>(k.op) << 8 |
-      static_cast<std::uint64_t>(k.dtype));
-  mix(static_cast<std::uint64_t>(k.bytes));
-  mix(static_cast<std::uint64_t>(k.m));
-  mix(static_cast<std::uint64_t>(k.n));
-  mix(static_cast<std::uint64_t>(k.k));
-  mix(static_cast<std::uint64_t>(k.op_a) | static_cast<std::uint64_t>(k.op_b)
-                                               << 8 |
-      static_cast<std::uint64_t>(k.side) << 16 |
-      static_cast<std::uint64_t>(k.uplo) << 24 |
-      static_cast<std::uint64_t>(k.diag) << 32 |
-      static_cast<std::uint64_t>(k.layout) << 40);
-  mix(static_cast<std::uint64_t>(k.batch));
-  return h;
+  // FNV-1a over the class fields, then the dtype, then fmix64. FNV's
+  // multiply only carries bits upward: without the finaliser the fields
+  // packed at bit >= 6 (op tag, op_b, side, uplo, diag) would never reach
+  // the breaker's low-bit slot index.
+  std::uint64_t h = sched::ClassKeyHash{}(k.cls);
+  h ^= static_cast<std::uint64_t>(k.dtype);
+  h *= 1099511628211ull;
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return static_cast<std::size_t>(h);
 }
 
 Engine::Shard& Engine::shard_for(const PlanKey& key) {
-  // FNV's low bits feed the map's bucket choice; take high bits for the
-  // shard so the two decisions stay decorrelated.
+  // The map's buckets use the low bits; take high bits for the shard so
+  // the two decisions stay decorrelated.
   const std::size_t h = PlanKeyHash{}(key);
   return shards_[(h >> 56) % kPlanCacheShards];
 }
@@ -523,557 +421,686 @@ std::shared_ptr<const Plan> Engine::lookup(const PlanKey& key, Make&& make) {
   return std::static_pointer_cast<const Plan>(plan);
 }
 
-template <class T, int Bytes>
-Engine::PlanKey Engine::gemm_plan_key(const GemmShape& shape,
-                                      std::uint8_t layout) {
-  PlanKey key;
-  key.op = 'g';
-  key.dtype = dtype_tag<T>();
-  key.bytes = Bytes;
-  key.m = shape.m;
-  key.n = shape.n;
-  key.k = shape.k;
-  key.op_a = static_cast<std::uint8_t>(shape.op_a);
-  key.op_b = static_cast<std::uint8_t>(shape.op_b);
-  key.layout = layout;
-  key.batch = shape.batch;
+// --- Plan keys and plan construction ---------------------------------------
+
+template <class OpT>
+Engine::PlanKey Engine::plan_key(const typename OpT::Shape& shape) {
+  PlanKey key{OpT::class_key(shape), dtype_tag<typename OpT::value_type>()};
+  key.cls.bytes = OpT::bytes;
   return key;
 }
 
-template <class T, int Bytes>
-Engine::PlanKey Engine::trsm_plan_key(const TrsmShape& shape,
-                                      std::uint8_t layout) {
-  PlanKey key;
-  key.op = 't';
-  key.dtype = dtype_tag<T>();
-  key.bytes = Bytes;
-  key.m = shape.m;
-  key.n = shape.n;
-  key.op_a = static_cast<std::uint8_t>(shape.op_a);
-  key.side = static_cast<std::uint8_t>(shape.side);
-  key.uplo = static_cast<std::uint8_t>(shape.uplo);
-  key.diag = static_cast<std::uint8_t>(shape.diag);
-  key.layout = layout;
-  key.batch = shape.batch;
-  return key;
-}
-
-/// Factorisations are keyed like GEMM/TRSM: the op tag distinguishes the
-/// three routines ('p' Cholesky, 'l' unpivoted LU, 'i' triangular
-/// inverse) and `layout` separates the raw-buffer and packed-handle
-/// variants so both coexist in the cache.
-template <class T, int Bytes>
-Engine::PlanKey Engine::factor_plan_key(const factor::FactorShape& shape,
-                                        std::uint8_t layout) {
-  PlanKey key;
-  switch (shape.op) {
-  case factor::FactorOp::Potrf:
-    key.op = 'p';
-    break;
-  case factor::FactorOp::GetrfNp:
-    key.op = 'l';
-    break;
-  case factor::FactorOp::Trtri:
-    key.op = 'i';
-    break;
-  }
-  key.dtype = dtype_tag<T>();
-  key.bytes = Bytes;
-  key.m = shape.m;
-  key.uplo = static_cast<std::uint8_t>(shape.uplo);
-  key.diag = static_cast<std::uint8_t>(shape.diag);
-  key.layout = layout;
-  key.batch = shape.batch;
-  return key;
+template <class OpT>
+std::shared_ptr<const typename OpT::Plan>
+Engine::plan_for(const typename OpT::Shape& shape) {
+  using Plan = typename OpT::Plan;
+  return lookup<Plan>(
+      plan_key<OpT>(shape), [&](bool* tuned, std::uint64_t* config_gen) {
+        IATF_FAULT_POINT(OpT::plan_site, ::iatf::Status::Unsupported);
+        fault::stall_if_armed("plan.stall");
+        const auto config = tuning_.load(std::memory_order_acquire);
+        *config_gen = config->generation;
+        if constexpr (OpT::tiled) {
+          const plan::PlanTuning tuning =
+              resolve_tuning(*config, OpT::tune_key(shape), tuned);
+          auto plan = std::make_unique<Plan>(shape, cache_, tuning);
+          if (kernel_verification() && guard_.quarantined_count() > 0) {
+            substitute_quarantined<OpT>(plan, shape, cache_, tuning, guard_);
+          }
+          return plan.release();
+        } else {
+          // Factor plans take no tile tuning (the steps are straight-line
+          // register sweeps), but the build still resolves against one
+          // config generation so reconfigure() gates stale inserts.
+          *tuned = false;
+          return new Plan(shape);
+        }
+      });
 }
 
 template <class T, int Bytes>
 std::shared_ptr<const plan::GemmPlan<T, Bytes>>
-Engine::plan_gemm(const GemmShape& shape, std::uint8_t layout) {
-  return lookup<plan::GemmPlan<T, Bytes>>(
-      gemm_plan_key<T, Bytes>(shape, layout),
-      [&](bool* tuned, std::uint64_t* config_gen) {
-        IATF_FAULT_POINT("plan.gemm", ::iatf::Status::Unsupported);
-        fault::stall_if_armed("plan.stall");
-        const auto config = tuning_.load(std::memory_order_acquire);
-        *config_gen = config->generation;
-        const plan::PlanTuning tuning = resolve_tuning(
-            *config, tune::gemm_key<T, Bytes>(shape), tuned);
-        auto plan = std::make_unique<plan::GemmPlan<T, Bytes>>(shape,
-                                                               cache_,
-                                                               tuning);
-        if (kernel_verification() && guard_.quarantined_count() > 0) {
-          substitute_quarantined<T, Bytes>(plan, shape, cache_, tuning,
-                                           guard_);
-        }
-        return plan.release();
-      });
+Engine::plan_gemm(const GemmShape& shape) {
+  return plan_for<detail::GemmOp<T, Bytes>>(shape);
 }
 
 template <class T, int Bytes>
 std::shared_ptr<const plan::TrsmPlan<T, Bytes>>
-Engine::plan_trsm(const TrsmShape& shape, std::uint8_t layout) {
-  return lookup<plan::TrsmPlan<T, Bytes>>(
-      trsm_plan_key<T, Bytes>(shape, layout),
-      [&](bool* tuned, std::uint64_t* config_gen) {
-        IATF_FAULT_POINT("plan.trsm", ::iatf::Status::Unsupported);
-        fault::stall_if_armed("plan.stall");
-        const auto config = tuning_.load(std::memory_order_acquire);
-        *config_gen = config->generation;
-        const plan::PlanTuning tuning = resolve_tuning(
-            *config, tune::trsm_key<T, Bytes>(shape), tuned);
-        auto plan = std::make_unique<plan::TrsmPlan<T, Bytes>>(shape,
-                                                               cache_,
-                                                               tuning);
-        if (kernel_verification() && guard_.quarantined_count() > 0) {
-          substitute_quarantined<T, Bytes>(plan, shape, cache_, tuning,
-                                           guard_);
-        }
-        return plan.release();
-      });
+Engine::plan_trsm(const TrsmShape& shape) {
+  return plan_for<detail::TrsmOp<T, Bytes>>(shape);
 }
 
 template <class T, int Bytes>
 std::shared_ptr<const factor::FactorPlan<T, Bytes>>
-Engine::plan_factor(const factor::FactorShape& shape, std::uint8_t layout) {
-  return lookup<factor::FactorPlan<T, Bytes>>(
-      factor_plan_key<T, Bytes>(shape, layout),
-      [&](bool* tuned, std::uint64_t* config_gen) {
-        IATF_FAULT_POINT("plan.factor", ::iatf::Status::Unsupported);
-        fault::stall_if_armed("plan.stall");
-        // Factor plans take no tile tuning (the steps are straight-line
-        // register sweeps), but the build still resolves against one
-        // config generation so reconfigure() gates stale inserts.
-        *tuned = false;
-        *config_gen =
-            tuning_.load(std::memory_order_acquire)->generation;
-        return new factor::FactorPlan<T, Bytes>(shape);
-      });
+Engine::plan_factor(const factor::FactorShape& shape) {
+  return plan_for<detail::FactorOp<T, Bytes>>(shape);
 }
+
+// --- Guarded execution: call-scoped state -----------------------------------
+
+/// Policy, pool and deadline, read once at call entry.
+struct Engine::CallContext {
+  ExecPolicy policy;
+  ThreadPool* pool;
+  Deadline at{};
+  bool bounded = false;
+
+  explicit CallContext(const Engine& engine)
+      : policy(engine.policy_.load(std::memory_order_relaxed)),
+        pool(engine.pool_.load(std::memory_order_relaxed)) {
+    const std::int64_t budget =
+        engine.deadline_ns_.load(std::memory_order_relaxed);
+    if (budget > 0) {
+      at = Deadline::in(std::chrono::nanoseconds(budget));
+      bounded = true;
+    }
+  }
+
+  const Deadline* deadline() const noexcept {
+    return bounded ? &at : nullptr;
+  }
+};
+
+/// Counts the call in on construction (admit_call, which may shed or time
+/// out by throwing -- without taking a slot, so nothing is released) and
+/// releases the slot on every exit path.
+class Engine::Admission {
+public:
+  Admission(Engine& engine, const Deadline* deadline)
+      : engine_(engine),
+        ref_route_(engine.admit_call(deadline) == Admit::RefRoute) {}
+  ~Admission() { engine_.release_call(); }
+  Admission(const Admission&) = delete;
+  Admission& operator=(const Admission&) = delete;
+
+  /// DegradeToRef past the budget: serve the call on the reference path.
+  bool ref_route() const noexcept { return ref_route_; }
+
+private:
+  Engine& engine_;
+  bool ref_route_;
+};
+
+/// One descriptor class's breaker decision for one call. An admitted
+/// (Allow or Probe) class is recorded when its gate is destroyed -- on
+/// every exit path, exceptions included, so a probe can never be left
+/// in flight -- as degraded unless settle() reported otherwise.
+class Engine::BreakerGate {
+public:
+  BreakerGate() = default; ///< breaker disabled: nothing to record
+  BreakerGate(Engine* engine, std::size_t slot, bool probe,
+              DegradeEvent route) noexcept
+      : engine_(engine), slot_(slot), probe_(probe), route_(route) {}
+  BreakerGate(BreakerGate&& other) noexcept
+      : engine_(std::exchange(other.engine_, nullptr)), slot_(other.slot_),
+        probe_(other.probe_), degraded_(other.degraded_),
+        route_(other.route_) {}
+  BreakerGate& operator=(BreakerGate&&) = delete;
+
+  ~BreakerGate() {
+    if (engine_ != nullptr) {
+      try {
+        engine_->record_breaker(slot_, degraded_, probe_);
+      } catch (...) {
+        // Only the journal line can be lost here (bad_alloc while the
+        // ledger keeps it in memory): the slot transition is applied
+        // first, and a throw from a destructor would end the process.
+      }
+    }
+  }
+
+  /// BreakerOpen when the class is served on the reference path.
+  DegradeEvent route() const noexcept { return route_; }
+  void settle(bool degraded) noexcept { degraded_ = degraded; }
+
+private:
+  Engine* engine_ = nullptr; ///< null: nothing to record
+  std::size_t slot_ = 0;
+  bool probe_ = false;
+  bool degraded_ = true;
+  DegradeEvent route_ = DegradeEvent::None;
+};
+
+/// Transient-retry state of one call (DESIGN.md section 11.4).
+struct Engine::Retry {
+  int attempt = 1;
+  std::chrono::nanoseconds delay{0};
+  std::chrono::nanoseconds cap{0};
+};
+
+template <class OpT>
+Engine::BreakerGate Engine::open_gate(const typename OpT::Shape& shape) {
+  if (!breaker_.enabled()) {
+    return BreakerGate();
+  }
+  const std::size_t slot = class_slot<OpT>(shape);
+  switch (breaker_.admit(slot)) {
+  case resilience::BreakerDecision::RefRoute:
+    return BreakerGate(nullptr, slot, false, DegradeEvent::BreakerOpen);
+  case resilience::BreakerDecision::Probe:
+    try {
+      IATF_FAULT_POINT("resilience.probe", ::iatf::Status::Internal);
+    } catch (...) {
+      // A failed probe re-opens the slot; the call is still served.
+      return BreakerGate(this, slot, true, DegradeEvent::BreakerOpen);
+    }
+    return BreakerGate(this, slot, true, DegradeEvent::None);
+  case resilience::BreakerDecision::Allow:
+    break;
+  }
+  return BreakerGate(this, slot, false, DegradeEvent::None);
+}
+
+template <class OpT>
+bool Engine::dispatchable(const typename OpT::Plan& plan) {
+  if constexpr (OpT::tiled) {
+    return !kernel_verification() ||
+           ensure_verified<typename OpT::value_type, OpT::bytes>(plan);
+  } else {
+    return true;
+  }
+}
+
+bool Engine::retry_after(DegradeEvent event, Retry& retry,
+                         const Deadline* deadline) {
+  const bool transient = event == DegradeEvent::AllocFailure ||
+                         event == DegradeEvent::WorkerFailure;
+  const int max_attempts =
+      std::max(1, retry_attempts_.load(std::memory_order_relaxed));
+  if (!transient || retry.attempt >= max_attempts ||
+      (deadline != nullptr && deadline->expired())) {
+    return false;
+  }
+  if (retry.attempt == 1) {
+    retry.delay =
+        std::chrono::nanoseconds(retry_base_ns_.load(std::memory_order_relaxed));
+    retry.cap = retry.delay * 64;
+  }
+  ++retry.attempt;
+  const std::uint64_t seq = retries_.fetch_add(1, std::memory_order_relaxed);
+  backoff_sleep(
+      resilience::jittered_backoff(
+          retry.delay, retry_seed_.load(std::memory_order_relaxed), seq),
+      deadline);
+  retry.delay = std::min(retry.delay * 2, retry.cap);
+  return true;
+}
+
+void Engine::note_degraded(std::uint64_t lanes, bool ref_routed) noexcept {
+  degraded_calls_.fetch_add(1, std::memory_order_relaxed);
+  fallback_lanes_.fetch_add(lanes, std::memory_order_relaxed);
+  if (ref_routed) {
+    ref_routed_calls_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+template <class OpT>
+BatchHealth Engine::ref_route(const OpT& op, DegradeEvent event) {
+  const BatchHealth health = detail::ref_all(op, event, nullptr);
+  note_degraded(static_cast<std::uint64_t>(health.fallback),
+                /*ref_routed=*/true);
+  return health;
+}
+
+// --- The single-call driver ------------------------------------------------
+
+template <class OpT> BatchHealth Engine::run_call(const OpT& op) {
+  note_width_call(OpT::bytes);
+  const CallContext ctx(*this);
+  const Admission admission(*this, ctx.deadline());
+  try {
+    if (admission.ref_route()) {
+      return ref_route(op, DegradeEvent::Overloaded);
+    }
+    return call_core(op, ctx);
+  } catch (const Error& e) {
+    if (e.status() == Status::Timeout) {
+      timeout_calls_.fetch_add(1, std::memory_order_relaxed);
+    }
+    throw;
+  }
+}
+
+template <class OpT>
+BatchHealth Engine::call_core(const OpT& op, const CallContext& ctx) {
+  using R = real_t<typename OpT::value_type>;
+  BreakerGate gate = open_gate<OpT>(op.shape);
+  if (gate.route() != DegradeEvent::None) {
+    return ref_route(op, gate.route());
+  }
+  const bool guarded = ctx.policy != ExecPolicy::Fast;
+  const bool fallback = ctx.policy == ExecPolicy::Fallback;
+  op.prepare();
+  // The fast path overwrites the in/out operand, so a retry or a lane
+  // repair needs its pre-call values. Snapshot only when allowed to
+  // repair; Fast allocates nothing here.
+  std::vector<R> snapshot;
+  if (fallback) {
+    snapshot = detail::snapshot_of(op.inout());
+  }
+  std::optional<HealthRecorder> rec;
+  if (guarded) {
+    rec.emplace(op.shape.batch);
+  }
+  Retry retry;
+  for (;;) {
+    try {
+      const auto plan = plan_for<OpT>(op.shape);
+      if (!dispatchable<OpT>(*plan)) {
+        // Detected before execution: the operands still hold the input.
+        return ref_route(op, DegradeEvent::QuarantinedKernel);
+      }
+      op.execute(*plan, ctx.pool, rec ? &*rec : nullptr, ctx.deadline());
+      break;
+    } catch (...) {
+      if (!fallback) {
+        throw; // Fast/Check: failures still propagate
+      }
+      // rethrows InvalidArg and Timeout
+      const DegradeEvent event = detail::classify_failure();
+      if (retry_after(event, retry, ctx.deadline())) {
+        detail::restore(op.inout(), snapshot);
+        rec.emplace(op.shape.batch);
+        continue;
+      }
+      const BatchHealth health = detail::ref_all(op, event, &snapshot);
+      note_degraded(static_cast<std::uint64_t>(health.fallback), false);
+      return health;
+    }
+  }
+
+  BatchHealth health;
+  health.batch = op.shape.batch;
+  if (guarded) {
+    op.scan(*rec);
+    detail::settle_hazards(op, *rec, fallback ? &snapshot : nullptr,
+                           health);
+    if (health.fallback > 0) {
+      note_degraded(static_cast<std::uint64_t>(health.fallback), false);
+    }
+  }
+  gate.settle(health.events != DegradeEvent::None);
+  return health;
+}
+
+// --- The grouped driver ----------------------------------------------------
+
+template <class OpT>
+std::vector<BatchHealth>
+Engine::run_grouped(std::span<const typename OpT::Segment> segments) {
+  using R = real_t<typename OpT::value_type>;
+  grouped_calls_.fetch_add(1, std::memory_order_relaxed);
+  note_width_call(OpT::bytes);
+  const std::size_t count = segments.size();
+  std::vector<BatchHealth> healths(count);
+  if (count == 0) {
+    return healths;
+  }
+  std::vector<OpT> ops;
+  std::vector<sched::ClassKey> keys;
+  ops.reserve(count);
+  keys.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    ops.push_back(OpT::make(segments[i]));
+    keys.push_back(OpT::class_key(ops[i].shape));
+    healths[i].batch = ops[i].shape.batch;
+  }
+
+  const CallContext ctx(*this);
+  const Admission admission(*this, ctx.deadline());
+  try {
+    if (admission.ref_route()) {
+      std::uint64_t lanes = 0;
+      for (std::size_t i = 0; i < count; ++i) {
+        healths[i] = detail::ref_all(ops[i], DegradeEvent::Overloaded,
+                                     nullptr);
+        lanes += static_cast<std::uint64_t>(healths[i].fallback);
+      }
+      note_degraded(lanes, /*ref_routed=*/true);
+      return healths;
+    }
+
+    const bool guarded = ctx.policy != ExecPolicy::Fast;
+    const bool fallback = ctx.policy == ExecPolicy::Fallback;
+    // Snapshots and recorders are captured BEFORE any binning/planning
+    // so the whole-call fallback below can restore even when the
+    // scheduler or the planner throws.
+    std::vector<std::vector<R>> snapshots(count);
+    std::vector<std::optional<HealthRecorder>> recs(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      if (guarded) {
+        recs[i].emplace(ops[i].shape.batch);
+      }
+      if (fallback) {
+        snapshots[i] = detail::snapshot_of(ops[i].inout());
+      }
+    }
+
+    std::vector<std::shared_ptr<const typename OpT::Plan>> plans(count);
+    // Per-descriptor-class degradation routing: BreakerOpen or
+    // QuarantinedKernel sends just that class to the reference path while
+    // the other classes keep their fast path.
+    std::vector<DegradeEvent> routed(count, DegradeEvent::None);
+    std::vector<sched::SizeClass> classes;
+    std::vector<BreakerGate> gates; ///< gates[c] gates classes[c]
+    std::size_t next_class = 0;
+    bool resolved = false;
+    Retry retry;
+    for (;;) {
+      try {
+        if (!resolved) {
+          // One plan resolution per distinct descriptor; segments in the
+          // same size class share the shared_ptr, and single-flight
+          // collapses concurrent cold misses exactly as for the
+          // fixed-size path. Resumable across retries: every class opens
+          // its breaker gate exactly once.
+          if (classes.empty()) {
+            classes = sched::bin_by_descriptor(keys);
+            gates.reserve(classes.size());
+          }
+          while (next_class < classes.size()) {
+            const sched::SizeClass& cls = classes[next_class];
+            const auto& shape = ops[cls.segments.front()].shape;
+            if (gates.size() == next_class) {
+              gates.push_back(open_gate<OpT>(shape));
+            }
+            DegradeEvent route = gates[next_class].route();
+            if (route == DegradeEvent::None) {
+              auto plan = plan_for<OpT>(shape);
+              if (dispatchable<OpT>(*plan)) {
+                for (const std::size_t idx : cls.segments) {
+                  plans[idx] = plan;
+                }
+              } else {
+                route = DegradeEvent::QuarantinedKernel;
+              }
+            }
+            for (const std::size_t idx : cls.segments) {
+              routed[idx] = route;
+            }
+            if (++next_class == classes.size()) {
+              record_grouped_plans(classes.size());
+            }
+          }
+          // Ref-route the degraded classes up front; they are independent
+          // of the fast-path segments below.
+          std::uint64_t lanes = 0;
+          for (std::size_t i = 0; i < count; ++i) {
+            if (routed[i] != DegradeEvent::None) {
+              healths[i] = detail::ref_all(ops[i], routed[i], nullptr);
+              lanes += static_cast<std::uint64_t>(healths[i].fallback);
+            }
+          }
+          if (lanes > 0) {
+            note_degraded(lanes, /*ref_routed=*/true);
+          }
+          resolved = true;
+        }
+
+        if (ctx.pool != nullptr) {
+          // Interleave per-segment batch-slice work items round-robin
+          // across segments so the pool alternates between size classes.
+          const index_t grain_env = tune::env_group_grain();
+          std::vector<sched::SegmentExtent> extents(count);
+          for (std::size_t i = 0; i < count; ++i) {
+            if (routed[i] != DegradeEvent::None) {
+              continue; // already served on the reference path
+            }
+            extents[i].groups = ops[i].inout().groups();
+            const index_t tuned =
+                grain_env > 0 ? grain_env : plans[i]->chunk_groups();
+            extents[i].item_groups = sched::item_granularity(
+                extents[i].groups, plans[i]->slice_groups(), tuned,
+                static_cast<index_t>(ctx.pool->size()));
+            if (extents[i].groups == 0) {
+              // No work item will touch this segment: validate it here so
+              // caller bugs surface identically in both execution modes.
+              ops[i].execute(*plans[i], nullptr, nullptr, nullptr);
+            }
+          }
+          const std::vector<sched::WorkItem> items =
+              sched::interleave_slices(extents);
+          ctx.pool->parallel_for(
+              0, static_cast<index_t>(items.size()),
+              [&](index_t ib, index_t ie) {
+                for (index_t ii = ib; ii < ie; ++ii) {
+                  const sched::WorkItem& it =
+                      items[static_cast<std::size_t>(ii)];
+                  auto& rec = recs[it.segment];
+                  ops[it.segment].execute_range(
+                      *plans[it.segment], it.g_begin, it.g_end,
+                      rec ? &*rec : nullptr, ctx.deadline());
+                }
+              },
+              /*grain=*/1, ctx.deadline());
+        } else {
+          for (std::size_t i = 0; i < count; ++i) {
+            if (routed[i] == DegradeEvent::None) {
+              ops[i].execute(*plans[i], nullptr,
+                             recs[i] ? &*recs[i] : nullptr, ctx.deadline());
+            }
+          }
+        }
+        break;
+      } catch (...) {
+        if (!fallback) {
+          throw; // Fast/Check: failures still propagate
+        }
+        // rethrows InvalidArg and Timeout
+        const DegradeEvent event = detail::classify_failure();
+        if (retry_after(event, retry, ctx.deadline())) {
+          // Restore whatever may hold partial output: every fast-path
+          // segment, and routed ones not yet committed by `resolved`.
+          for (std::size_t i = 0; i < count; ++i) {
+            if (!resolved || routed[i] == DegradeEvent::None) {
+              detail::restore(ops[i].inout(), snapshots[i]);
+              if (recs[i]) {
+                recs[i].emplace(ops[i].shape.batch);
+              }
+            }
+          }
+          continue;
+        }
+        for (const OpT& op : ops) {
+          op.validate();
+        }
+        // Any segment may hold partial fast-path output; restore and
+        // recompute every lane of every segment on the reference path.
+        std::uint64_t lanes = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+          const DegradeEvent routed_event = healths[i].events;
+          healths[i] = detail::ref_all(ops[i], event, &snapshots[i]);
+          healths[i].events |= routed_event;
+          lanes += static_cast<std::uint64_t>(healths[i].fallback);
+        }
+        note_degraded(lanes, /*ref_routed=*/false);
+        return healths;
+      }
+    }
+
+    if (guarded) {
+      std::uint64_t lanes = 0;
+      for (std::size_t i = 0; i < count; ++i) {
+        if (routed[i] != DegradeEvent::None) {
+          continue; // reference results; nothing to scan or repair
+        }
+        detail::settle_hazards(ops[i], *recs[i],
+                               fallback ? &snapshots[i] : nullptr,
+                               healths[i]);
+        lanes += static_cast<std::uint64_t>(healths[i].fallback);
+      }
+      if (lanes > 0) {
+        note_degraded(lanes, /*ref_routed=*/false);
+      }
+    }
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+      bool degraded = false;
+      for (const std::size_t idx : classes[c].segments) {
+        degraded = degraded || healths[idx].events != DegradeEvent::None;
+      }
+      gates[c].settle(degraded);
+    }
+    return healths;
+  } catch (const Error& e) {
+    if (e.status() == Status::Timeout) {
+      timeout_calls_.fetch_add(1, std::memory_order_relaxed);
+    }
+    throw;
+  }
+}
+
+// --- Public compute entry points: thin wrappers over the drivers ----------
 
 template <class T, int Bytes>
 BatchHealth Engine::gemm(Op op_a, Op op_b, T alpha, const CompactBuffer<T>& a,
                          const CompactBuffer<T>& b, T beta,
                          CompactBuffer<T>& c) {
-  return gemm_at<T, Bytes>(op_a, op_b, alpha, a, b, beta, c, /*layout=*/0);
-}
-
-template <class T, int Bytes>
-BatchHealth Engine::gemm_at(Op op_a, Op op_b, T alpha,
-                            const CompactBuffer<T>& a,
-                            const CompactBuffer<T>& b, T beta,
-                            CompactBuffer<T>& c, std::uint8_t layout) {
-  GemmShape shape;
-  shape.m = c.rows();
-  shape.n = c.cols();
-  shape.k = op_a == Op::NoTrans ? a.cols() : a.rows();
-  shape.op_a = op_a;
-  shape.op_b = op_b;
-  shape.batch = c.batch();
-  note_width_call(Bytes);
-
-  const ExecPolicy policy = policy_.load(std::memory_order_relaxed);
-  ThreadPool* pool = pool_.load(std::memory_order_relaxed);
-  const std::int64_t budget = deadline_ns_.load(std::memory_order_relaxed);
-  Deadline deadline_at;
-  const Deadline* deadline = nullptr;
-  if (budget > 0) {
-    deadline_at = Deadline::in(std::chrono::nanoseconds(budget));
-    deadline = &deadline_at;
-  }
-
-  // Admission gate: count the call in (and possibly shed / degrade it),
-  // then guarantee the slot is released on every exit path.
-  const Admit admitted = admit_call(deadline);
-  struct Release {
-    Engine* engine;
-    ~Release() { engine->release_call(); }
-  } release{this};
-  if (admitted == Admit::RefRoute) {
-    return ref_route_gemm<T, Bytes>(shape, alpha, a, b, beta, c,
-                                    DegradeEvent::Overloaded);
-  }
-
-  // Per-descriptor-class degradation breaker.
-  std::size_t slot = 0;
-  bool probe = false;
-  if (breaker_.enabled()) {
-    slot = PlanKeyHash{}(gemm_plan_key<T, Bytes>(shape, layout));
-    switch (breaker_.admit(slot)) {
-    case resilience::BreakerDecision::RefRoute:
-      return ref_route_gemm<T, Bytes>(shape, alpha, a, b, beta, c,
-                                      DegradeEvent::BreakerOpen);
-    case resilience::BreakerDecision::Probe:
-      probe = true;
-      break;
-    case resilience::BreakerDecision::Allow:
-      break;
-    }
-    if (probe) {
-      try {
-        IATF_FAULT_POINT("resilience.probe", ::iatf::Status::Internal);
-      } catch (...) {
-        // A failed probe re-opens the slot; the call is still served.
-        record_breaker(slot, /*degraded=*/true, /*probe=*/true);
-        return ref_route_gemm<T, Bytes>(shape, alpha, a, b, beta, c,
-                                        DegradeEvent::BreakerOpen);
-      }
-    }
-  }
-
-  try {
-    BatchHealth health;
-    if (policy == ExecPolicy::Fast) {
-      auto plan = plan_gemm<T, Bytes>(shape, layout);
-      if (kernel_verification() && !ensure_verified<T, Bytes>(*plan)) {
-        health = ref_route_gemm<T, Bytes>(shape, alpha, a, b, beta, c,
-                                          DegradeEvent::QuarantinedKernel);
-      } else {
-        if (pool != nullptr) {
-          plan->execute_parallel(a, b, c, alpha, beta, *pool, nullptr,
-                                 deadline);
-        } else {
-          plan->execute(a, b, c, alpha, beta, nullptr, deadline);
-        }
-        health.batch = shape.batch;
-      }
-    } else {
-      health = guarded_gemm<T, Bytes>(shape, alpha, a, b, beta, c, policy,
-                                      pool, deadline, layout);
-    }
-    if (breaker_.enabled()) {
-      record_breaker(slot, health.events != DegradeEvent::None, probe);
-    }
-    return health;
-  } catch (const Error& e) {
-    if (e.status() == Status::Timeout) {
-      timeout_calls_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (breaker_.enabled()) {
-      record_breaker(slot, /*degraded=*/true, probe);
-    }
-    throw;
-  } catch (...) {
-    if (breaker_.enabled()) {
-      record_breaker(slot, /*degraded=*/true, probe);
-    }
-    throw;
-  }
-}
-
-template <class T, int Bytes>
-BatchHealth Engine::guarded_gemm(const GemmShape& shape, T alpha,
-                                 const CompactBuffer<T>& a,
-                                 const CompactBuffer<T>& b, T beta,
-                                 CompactBuffer<T>& c, ExecPolicy policy,
-                                 ThreadPool* pool, const Deadline* deadline,
-                                 std::uint8_t layout) {
-  using R = real_t<T>;
-  BatchHealth health;
-  health.batch = shape.batch;
-  const bool fallback = policy == ExecPolicy::Fallback;
-
-  // C is read (beta) and written by the fast path, so a retry needs the
-  // pre-call values. Snapshot only when we are allowed to retry.
-  std::vector<R> snapshot;
-  if (fallback) {
-    snapshot.assign(c.data(), c.data() + c.size());
-  }
-
-  // Transient-failure retry (Fallback only: a retry needs the snapshot).
-  const int max_attempts =
-      fallback ? std::max(1, retry_attempts_.load(std::memory_order_relaxed))
-               : 1;
-  std::chrono::nanoseconds delay(
-      retry_base_ns_.load(std::memory_order_relaxed));
-  const std::chrono::nanoseconds delay_cap = delay * 64;
-
-  HealthRecorder rec(shape.batch);
-  for (int attempt = 1;; ++attempt) {
-    try {
-      auto plan = plan_gemm<T, Bytes>(shape, layout);
-      if (kernel_verification() && !ensure_verified<T, Bytes>(*plan)) {
-        // Quarantine is detected before execution, so C still holds the
-        // original values and the reference path applies beta directly.
-        return ref_route_gemm<T, Bytes>(shape, alpha, a, b, beta, c,
-                                        DegradeEvent::QuarantinedKernel);
-      }
-      if (pool != nullptr) {
-        plan->execute_parallel(a, b, c, alpha, beta, *pool, &rec, deadline);
-      } else {
-        plan->execute(a, b, c, alpha, beta, &rec, deadline);
-      }
-      break;
-    } catch (...) {
-      if (!fallback) {
-        throw; // Check: observe-only, failures still propagate
-      }
-      // rethrows InvalidArg and Timeout
-      const DegradeEvent event = classify_failure();
-      const bool transient = event == DegradeEvent::AllocFailure ||
-                             event == DegradeEvent::WorkerFailure;
-      if (transient && attempt < max_attempts &&
-          (deadline == nullptr || !deadline->expired())) {
-        std::copy(snapshot.begin(), snapshot.end(), c.data());
-        rec = HealthRecorder(shape.batch);
-        const std::uint64_t seq =
-            retries_.fetch_add(1, std::memory_order_relaxed);
-        backoff_sleep(resilience::jittered_backoff(
-                          delay,
-                          retry_seed_.load(std::memory_order_relaxed), seq),
-                      deadline);
-        delay = std::min(delay * 2, delay_cap);
-        continue;
-      }
-      validate_gemm_fallback(shape, a, b, c);
-      std::copy(snapshot.begin(), snapshot.end(), c.data());
-      for (index_t lane = 0; lane < shape.batch; ++lane) {
-        ref_gemm_lane(shape, alpha, a, b, beta, c, lane);
-      }
-      health.events |= event;
-      health.fallback = shape.batch;
-      health.first_fallback = shape.batch > 0 ? 0 : -1;
-      degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-      fallback_lanes_.fetch_add(
-          static_cast<std::uint64_t>(health.fallback),
-          std::memory_order_relaxed);
-      return health;
-    }
-  }
-
-  rec.fill(health);
-  if (health.nonfinite != 0) {
-    health.events |= DegradeEvent::NumericalHazard;
-    if (fallback) {
-      for (index_t lane = 0; lane < shape.batch; ++lane) {
-        if (!rec.flagged(lane)) {
-          continue;
-        }
-        restore_lane(c, snapshot, lane);
-        ref_gemm_lane(shape, alpha, a, b, beta, c, lane);
-        if (health.first_fallback < 0) {
-          health.first_fallback = lane;
-        }
-        ++health.fallback;
-      }
-      if (health.fallback > 0) {
-        degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-        fallback_lanes_.fetch_add(
-            static_cast<std::uint64_t>(health.fallback),
-            std::memory_order_relaxed);
-      }
-    }
-  }
-  return health;
+  return run_call(
+      detail::GemmOp<T, Bytes>::make(op_a, op_b, alpha, a, b, beta, c));
 }
 
 template <class T, int Bytes>
 BatchHealth Engine::trsm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
                          const CompactBuffer<T>& a, CompactBuffer<T>& b) {
-  return trsm_at<T, Bytes>(side, uplo, op_a, diag, alpha, a, b,
-                           /*layout=*/0);
+  return run_call(
+      detail::TrsmOp<T, Bytes>::make(side, uplo, op_a, diag, alpha, a, b));
 }
 
 template <class T, int Bytes>
-BatchHealth Engine::trsm_at(Side side, Uplo uplo, Op op_a, Diag diag,
-                            T alpha, const CompactBuffer<T>& a,
-                            CompactBuffer<T>& b, std::uint8_t layout) {
-  TrsmShape shape;
-  shape.m = b.rows();
-  shape.n = b.cols();
-  shape.side = side;
-  shape.uplo = uplo;
-  shape.op_a = op_a;
-  shape.diag = diag;
-  shape.batch = b.batch();
-  note_width_call(Bytes);
+std::vector<BatchHealth>
+Engine::gemm_grouped(std::span<const sched::GemmSegment<T>> segments) {
+  return run_grouped<detail::GemmOp<T, Bytes>>(segments);
+}
 
-  const ExecPolicy policy = policy_.load(std::memory_order_relaxed);
-  ThreadPool* pool = pool_.load(std::memory_order_relaxed);
-  const std::int64_t budget = deadline_ns_.load(std::memory_order_relaxed);
-  Deadline deadline_at;
-  const Deadline* deadline = nullptr;
-  if (budget > 0) {
-    deadline_at = Deadline::in(std::chrono::nanoseconds(budget));
-    deadline = &deadline_at;
+template <class T, int Bytes>
+std::vector<BatchHealth>
+Engine::trsm_grouped(std::span<const sched::TrsmSegment<T>> segments) {
+  return run_grouped<detail::TrsmOp<T, Bytes>>(segments);
+}
+
+// The packed-handle overloads run the buffer pipelines on the handle's
+// storage: same plan-cache entry, bit-identical results (DESIGN.md
+// section 13.2), plus reuse accounting and the output epoch bump.
+
+template <class T, int Bytes>
+BatchHealth Engine::gemm(Op op_a, Op op_b, T alpha,
+                         const factor::PackedHandle<T>& a,
+                         const factor::PackedHandle<T>& b, T beta,
+                         factor::PackedHandle<T>& c) {
+  IATF_CHECK(a.valid() && b.valid() && c.valid(),
+             "gemm: invalid packed handle");
+  packed_reuse_hits_.fetch_add(3, std::memory_order_relaxed);
+  const BatchHealth health = gemm<T, Bytes>(op_a, op_b, alpha, a.buffer(),
+                                            b.buffer(), beta, c.buffer());
+  c.bump_epoch();
+  return health;
+}
+
+template <class T, int Bytes>
+BatchHealth Engine::trsm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
+                         const factor::PackedHandle<T>& a,
+                         factor::PackedHandle<T>& b) {
+  IATF_CHECK(a.valid() && b.valid(), "trsm: invalid packed handle");
+  packed_reuse_hits_.fetch_add(2, std::memory_order_relaxed);
+  const BatchHealth health = trsm<T, Bytes>(side, uplo, op_a, diag, alpha,
+                                            a.buffer(), b.buffer());
+  b.bump_epoch();
+  return health;
+}
+
+template <class T, int Bytes>
+BatchHealth Engine::potrf_batch(CompactBuffer<T>& a) {
+  return run_call(detail::FactorOp<T, Bytes>::make(
+      factor::FactorOp::Potrf, Uplo::Lower, Diag::NonUnit, a));
+}
+
+template <class T, int Bytes>
+BatchHealth Engine::getrf_nopiv_batch(CompactBuffer<T>& a) {
+  return run_call(detail::FactorOp<T, Bytes>::make(
+      factor::FactorOp::GetrfNp, Uplo::Lower, Diag::NonUnit, a));
+}
+
+template <class T, int Bytes>
+BatchHealth Engine::trtri_batch(Uplo uplo, Diag diag, CompactBuffer<T>& a) {
+  return run_call(detail::FactorOp<T, Bytes>::make(factor::FactorOp::Trtri,
+                                                   uplo, diag, a));
+}
+
+template <class T, int Bytes>
+BatchHealth Engine::potrf_batch(factor::PackedHandle<T>& a) {
+  IATF_CHECK(a.valid(), "potrf_batch: invalid packed handle");
+  packed_reuse_hits_.fetch_add(1, std::memory_order_relaxed);
+  const BatchHealth health = potrf_batch<T, Bytes>(a.buffer());
+  a.bump_epoch();
+  return health;
+}
+
+template <class T, int Bytes>
+BatchHealth Engine::getrf_nopiv_batch(factor::PackedHandle<T>& a) {
+  IATF_CHECK(a.valid(), "getrf_nopiv_batch: invalid packed handle");
+  packed_reuse_hits_.fetch_add(1, std::memory_order_relaxed);
+  const BatchHealth health = getrf_nopiv_batch<T, Bytes>(a.buffer());
+  a.bump_epoch();
+  return health;
+}
+
+template <class T, int Bytes>
+BatchHealth Engine::trtri_batch(Uplo uplo, Diag diag,
+                                factor::PackedHandle<T>& a) {
+  IATF_CHECK(a.valid(), "trtri_batch: invalid packed handle");
+  packed_reuse_hits_.fetch_add(1, std::memory_order_relaxed);
+  const BatchHealth health = trtri_batch<T, Bytes>(uplo, diag, a.buffer());
+  a.bump_epoch();
+  return health;
+}
+
+template <class T, int Bytes>
+std::vector<BatchHealth>
+Engine::factor_grouped(std::span<const sched::FactorSegment<T>> segments) {
+  using FactorOpT = detail::FactorOp<T, Bytes>;
+  grouped_calls_.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t count = segments.size();
+  std::vector<BatchHealth> healths(count);
+  if (count == 0) {
+    return healths;
+  }
+  std::vector<FactorOpT> ops;
+  std::vector<sched::ClassKey> keys;
+  ops.reserve(count);
+  keys.reserve(count);
+  for (const sched::FactorSegment<T>& seg : segments) {
+    ops.push_back(FactorOpT::make(seg));
+    keys.push_back(FactorOpT::class_key(ops.back().shape));
   }
 
-  const Admit admitted = admit_call(deadline);
-  struct Release {
-    Engine* engine;
-    ~Release() { engine->release_call(); }
-  } release{this};
-  if (admitted == Admit::RefRoute) {
-    return ref_route_trsm<T, Bytes>(shape, alpha, a, b,
-                                    DegradeEvent::Overloaded);
-  }
-
-  std::size_t slot = 0;
-  bool probe = false;
-  if (breaker_.enabled()) {
-    slot = PlanKeyHash{}(trsm_plan_key<T, Bytes>(shape, layout));
-    switch (breaker_.admit(slot)) {
-    case resilience::BreakerDecision::RefRoute:
-      return ref_route_trsm<T, Bytes>(shape, alpha, a, b,
-                                      DegradeEvent::BreakerOpen);
-    case resilience::BreakerDecision::Probe:
-      probe = true;
-      break;
-    case resilience::BreakerDecision::Allow:
-      break;
-    }
-    if (probe) {
-      try {
-        IATF_FAULT_POINT("resilience.probe", ::iatf::Status::Internal);
-      } catch (...) {
-        record_breaker(slot, /*degraded=*/true, /*probe=*/true);
-        return ref_route_trsm<T, Bytes>(shape, alpha, a, b,
-                                        DegradeEvent::BreakerOpen);
-      }
-    }
-  }
-
+  const CallContext ctx(*this);
+  const Admission admission(*this, ctx.deadline());
   try {
-    BatchHealth health;
-    if (policy == ExecPolicy::Fast) {
-      auto plan = plan_trsm<T, Bytes>(shape, layout);
-      if (kernel_verification() && !ensure_verified<T, Bytes>(*plan)) {
-        health = ref_route_trsm<T, Bytes>(shape, alpha, a, b,
-                                          DegradeEvent::QuarantinedKernel);
-      } else {
-        if (pool != nullptr) {
-          plan->execute_parallel(a, b, alpha, *pool, nullptr, deadline);
-        } else {
-          plan->execute(a, b, alpha, nullptr, deadline);
-        }
-        health.batch = shape.batch;
+    if (admission.ref_route()) {
+      for (std::size_t i = 0; i < count; ++i) {
+        healths[i] = ref_route(ops[i], DegradeEvent::Overloaded);
       }
-    } else {
-      health = guarded_trsm<T, Bytes>(shape, alpha, a, b, policy, pool,
-                                      deadline, layout);
+      return healths;
     }
-    if (breaker_.enabled()) {
-      record_breaker(slot, health.events != DegradeEvent::None, probe);
+    // Execute class by class (first-appearance order), so each distinct
+    // descriptor resolves its plan once and the segments sharing it run
+    // back to back against the warm cache entry. The single deadline
+    // spans the whole grouped call.
+    const std::vector<sched::SizeClass> classes =
+        sched::bin_by_descriptor(keys);
+    record_grouped_plans(classes.size());
+    for (const sched::SizeClass& cls : classes) {
+      for (const std::size_t idx : cls.segments) {
+        healths[idx] = call_core(ops[idx], ctx);
+      }
     }
-    return health;
+    return healths;
   } catch (const Error& e) {
     if (e.status() == Status::Timeout) {
       timeout_calls_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (breaker_.enabled()) {
-      record_breaker(slot, /*degraded=*/true, probe);
-    }
-    throw;
-  } catch (...) {
-    if (breaker_.enabled()) {
-      record_breaker(slot, /*degraded=*/true, probe);
-    }
     throw;
   }
-}
-
-template <class T, int Bytes>
-BatchHealth Engine::guarded_trsm(const TrsmShape& shape, T alpha,
-                                 const CompactBuffer<T>& a,
-                                 CompactBuffer<T>& b, ExecPolicy policy,
-                                 ThreadPool* pool, const Deadline* deadline,
-                                 std::uint8_t layout) {
-  using R = real_t<T>;
-  BatchHealth health;
-  health.batch = shape.batch;
-  const bool fallback = policy == ExecPolicy::Fallback;
-
-  // TRSM overwrites B with X, so a retry needs the original right-hand
-  // side back. Snapshot only when we are allowed to retry.
-  std::vector<R> snapshot;
-  if (fallback) {
-    snapshot.assign(b.data(), b.data() + b.size());
-  }
-
-  const int max_attempts =
-      fallback ? std::max(1, retry_attempts_.load(std::memory_order_relaxed))
-               : 1;
-  std::chrono::nanoseconds delay(
-      retry_base_ns_.load(std::memory_order_relaxed));
-  const std::chrono::nanoseconds delay_cap = delay * 64;
-
-  HealthRecorder rec(shape.batch);
-  for (int attempt = 1;; ++attempt) {
-    try {
-      auto plan = plan_trsm<T, Bytes>(shape, layout);
-      if (kernel_verification() && !ensure_verified<T, Bytes>(*plan)) {
-        // Quarantine is detected before execution: B still holds the
-        // original right-hand side.
-        return ref_route_trsm<T, Bytes>(shape, alpha, a, b,
-                                        DegradeEvent::QuarantinedKernel);
-      }
-      if (pool != nullptr) {
-        plan->execute_parallel(a, b, alpha, *pool, &rec, deadline);
-      } else {
-        plan->execute(a, b, alpha, &rec, deadline);
-      }
-      break;
-    } catch (...) {
-      if (!fallback) {
-        throw; // Check: observe-only, failures still propagate
-      }
-      // rethrows InvalidArg and Timeout
-      const DegradeEvent event = classify_failure();
-      const bool transient = event == DegradeEvent::AllocFailure ||
-                             event == DegradeEvent::WorkerFailure;
-      if (transient && attempt < max_attempts &&
-          (deadline == nullptr || !deadline->expired())) {
-        std::copy(snapshot.begin(), snapshot.end(), b.data());
-        rec = HealthRecorder(shape.batch);
-        const std::uint64_t seq =
-            retries_.fetch_add(1, std::memory_order_relaxed);
-        backoff_sleep(resilience::jittered_backoff(
-                          delay,
-                          retry_seed_.load(std::memory_order_relaxed), seq),
-                      deadline);
-        delay = std::min(delay * 2, delay_cap);
-        continue;
-      }
-      validate_trsm_fallback(shape, a, b);
-      std::copy(snapshot.begin(), snapshot.end(), b.data());
-      for (index_t lane = 0; lane < shape.batch; ++lane) {
-        ref_trsm_lane(shape, alpha, a, b, lane);
-      }
-      health.events |= event;
-      health.fallback = shape.batch;
-      health.first_fallback = shape.batch > 0 ? 0 : -1;
-      degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-      fallback_lanes_.fetch_add(
-          static_cast<std::uint64_t>(health.fallback),
-          std::memory_order_relaxed);
-      return health;
-    }
-  }
-
-  rec.fill(health);
-  if (health.nonfinite != 0 || health.singular != 0) {
-    health.events |= DegradeEvent::NumericalHazard;
-    if (fallback) {
-      for (index_t lane = 0; lane < shape.batch; ++lane) {
-        if (!rec.flagged(lane)) {
-          continue;
-        }
-        restore_lane(b, snapshot, lane);
-        ref_trsm_lane(shape, alpha, a, b, lane);
-        if (health.first_fallback < 0) {
-          health.first_fallback = lane;
-        }
-        ++health.fallback;
-      }
-      if (health.fallback > 0) {
-        degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-        fallback_lanes_.fetch_add(
-            static_cast<std::uint64_t>(health.fallback),
-            std::memory_order_relaxed);
-      }
-    }
-  }
-  return health;
 }
 
 void Engine::record_grouped_plans(std::size_t distinct) noexcept {
@@ -1089,617 +1116,6 @@ void Engine::record_grouped_plans(std::size_t distinct) noexcept {
     bucket = 3;
   }
   grouped_plan_hist_[bucket].fetch_add(1, std::memory_order_relaxed);
-}
-
-template <class T, int Bytes>
-std::vector<BatchHealth>
-Engine::gemm_grouped(std::span<const sched::GemmSegment<T>> segments) {
-  using R = real_t<T>;
-  grouped_calls_.fetch_add(1, std::memory_order_relaxed);
-  note_width_call(Bytes);
-  const std::size_t count = segments.size();
-  std::vector<BatchHealth> healths(count);
-  if (count == 0) {
-    return healths;
-  }
-
-  std::vector<GemmShape> shapes(count);
-  std::vector<sched::ClassKey> keys(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const sched::GemmSegment<T>& seg = segments[i];
-    IATF_CHECK(seg.a != nullptr && seg.b != nullptr && seg.c != nullptr,
-               "gemm_grouped: segment with a null buffer");
-    GemmShape& s = shapes[i];
-    s.m = seg.c->rows();
-    s.n = seg.c->cols();
-    s.k = seg.op_a == Op::NoTrans ? seg.a->cols() : seg.a->rows();
-    s.op_a = seg.op_a;
-    s.op_b = seg.op_b;
-    s.batch = seg.c->batch();
-    healths[i].batch = s.batch;
-    sched::ClassKey& key = keys[i];
-    key.op = 'g';
-    key.m = s.m;
-    key.n = s.n;
-    key.k = s.k;
-    key.op_a = static_cast<std::uint8_t>(s.op_a);
-    key.op_b = static_cast<std::uint8_t>(s.op_b);
-    key.batch = s.batch;
-  }
-
-  const ExecPolicy policy = policy_.load(std::memory_order_relaxed);
-  ThreadPool* pool = pool_.load(std::memory_order_relaxed);
-  const std::int64_t budget = deadline_ns_.load(std::memory_order_relaxed);
-  Deadline deadline_at;
-  const Deadline* deadline = nullptr;
-  if (budget > 0) {
-    deadline_at = Deadline::in(std::chrono::nanoseconds(budget));
-    deadline = &deadline_at;
-  }
-
-  const Admit admitted = admit_call(deadline);
-  struct Release {
-    Engine* engine;
-    ~Release() { engine->release_call(); }
-  } release{this};
-
-  // Serve one segment entirely on the scalar reference path.
-  const auto route_segment = [&](std::size_t i, DegradeEvent event) {
-    const sched::GemmSegment<T>& seg = segments[i];
-    validate_gemm_fallback(shapes[i], *seg.a, *seg.b, *seg.c);
-    for (index_t lane = 0; lane < shapes[i].batch; ++lane) {
-      ref_gemm_lane(shapes[i], seg.alpha, *seg.a, *seg.b, seg.beta,
-                    *seg.c, lane);
-    }
-    healths[i].events |= event;
-    healths[i].fallback = shapes[i].batch;
-    healths[i].first_fallback = shapes[i].batch > 0 ? 0 : -1;
-  };
-
-  try {
-    const bool guarded = policy != ExecPolicy::Fast;
-    const bool fallback = policy == ExecPolicy::Fallback;
-
-    if (admitted == Admit::RefRoute) {
-      std::uint64_t lanes = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        route_segment(i, DegradeEvent::Overloaded);
-        lanes += static_cast<std::uint64_t>(shapes[i].batch);
-      }
-      degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-      fallback_lanes_.fetch_add(lanes, std::memory_order_relaxed);
-      ref_routed_calls_.fetch_add(1, std::memory_order_relaxed);
-      return healths;
-    }
-
-    // Snapshots and recorders are captured BEFORE any binning/planning
-    // so the whole-call fallback below can restore even when the
-    // scheduler or the planner throws.
-    std::vector<std::unique_ptr<HealthRecorder>> recs(count);
-    std::vector<std::vector<R>> snapshots(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (guarded) {
-        recs[i] = std::make_unique<HealthRecorder>(shapes[i].batch);
-      }
-      if (fallback) {
-        const CompactBuffer<T>& c = *segments[i].c;
-        snapshots[i].assign(c.data(), c.data() + c.size());
-      }
-    }
-
-    std::vector<std::shared_ptr<const plan::GemmPlan<T, Bytes>>> plans(
-        count);
-    // Per-descriptor-class degradation routing: BreakerOpen or
-    // QuarantinedKernel sends just that class to the reference path while
-    // the other classes keep their fast path.
-    std::vector<DegradeEvent> routed(count, DegradeEvent::None);
-    struct ClassGate {
-      std::size_t slot = 0;
-      bool probe = false;
-      std::vector<std::size_t> segs;
-    };
-    std::vector<ClassGate> gates;
-
-    try {
-      // One plan resolution per distinct descriptor; segments in the same
-      // size class share the shared_ptr, and single-flight collapses
-      // concurrent cold misses exactly as for the fixed-size path.
-      const std::vector<sched::SizeClass> classes =
-          sched::bin_by_descriptor(keys);
-      for (const sched::SizeClass& cls : classes) {
-        const GemmShape& cshape = shapes[cls.segments.front()];
-        std::size_t slot = 0;
-        bool probe = false;
-        bool route = false;
-        if (breaker_.enabled()) {
-          slot = PlanKeyHash{}(gemm_plan_key<T, Bytes>(cshape));
-          switch (breaker_.admit(slot)) {
-          case resilience::BreakerDecision::RefRoute:
-            route = true;
-            break;
-          case resilience::BreakerDecision::Probe:
-            probe = true;
-            try {
-              IATF_FAULT_POINT("resilience.probe",
-                               ::iatf::Status::Internal);
-            } catch (...) {
-              record_breaker(slot, /*degraded=*/true, /*probe=*/true);
-              probe = false;
-              route = true;
-            }
-            break;
-          case resilience::BreakerDecision::Allow:
-            break;
-          }
-        }
-        if (route) {
-          for (const std::size_t idx : cls.segments) {
-            routed[idx] = DegradeEvent::BreakerOpen;
-          }
-          continue;
-        }
-        auto plan = plan_gemm<T, Bytes>(cshape);
-        if (kernel_verification() && !ensure_verified<T, Bytes>(*plan)) {
-          for (const std::size_t idx : cls.segments) {
-            routed[idx] = DegradeEvent::QuarantinedKernel;
-          }
-          if (breaker_.enabled()) {
-            record_breaker(slot, /*degraded=*/true, probe);
-          }
-          continue;
-        }
-        for (const std::size_t idx : cls.segments) {
-          plans[idx] = plan;
-        }
-        gates.push_back(ClassGate{slot, probe, cls.segments});
-      }
-      record_grouped_plans(classes.size());
-
-      // Ref-route the degraded classes up front; they are independent of
-      // the fast-path segments below.
-      std::uint64_t route_lanes = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        if (routed[i] != DegradeEvent::None) {
-          route_segment(i, routed[i]);
-          route_lanes += static_cast<std::uint64_t>(shapes[i].batch);
-        }
-      }
-      if (route_lanes > 0) {
-        degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-        fallback_lanes_.fetch_add(route_lanes, std::memory_order_relaxed);
-        ref_routed_calls_.fetch_add(1, std::memory_order_relaxed);
-      }
-
-      if (pool != nullptr) {
-        // Interleave per-segment batch-slice work items round-robin
-        // across segments so the pool alternates between size classes.
-        const index_t grain_env = tune::env_group_grain();
-        std::vector<sched::SegmentExtent> extents(count);
-        for (std::size_t i = 0; i < count; ++i) {
-          if (routed[i] != DegradeEvent::None) {
-            continue; // already served on the reference path
-          }
-          extents[i].groups = segments[i].c->groups();
-          const index_t tuned =
-              grain_env > 0 ? grain_env : plans[i]->chunk_groups();
-          extents[i].item_groups = sched::item_granularity(
-              extents[i].groups, plans[i]->slice_groups(), tuned,
-              static_cast<index_t>(pool->size()));
-          if (extents[i].groups == 0) {
-            // No work item will touch this segment: validate it here so
-            // caller bugs surface identically in both execution modes.
-            const sched::GemmSegment<T>& seg = segments[i];
-            plans[i]->execute(*seg.a, *seg.b, *seg.c, seg.alpha, seg.beta,
-                              nullptr, nullptr);
-          }
-        }
-        const std::vector<sched::WorkItem> items =
-            sched::interleave_slices(extents);
-        pool->parallel_for(
-            0, static_cast<index_t>(items.size()),
-            [&](index_t ib, index_t ie) {
-              for (index_t ii = ib; ii < ie; ++ii) {
-                const sched::WorkItem& it =
-                    items[static_cast<std::size_t>(ii)];
-                const sched::GemmSegment<T>& seg = segments[it.segment];
-                plans[it.segment]->execute_range(
-                    *seg.a, *seg.b, *seg.c, seg.alpha, seg.beta,
-                    it.g_begin, it.g_end,
-                    guarded ? recs[it.segment].get() : nullptr, deadline);
-              }
-            },
-            /*grain=*/1, deadline);
-      } else {
-        for (std::size_t i = 0; i < count; ++i) {
-          if (routed[i] != DegradeEvent::None) {
-            continue;
-          }
-          const sched::GemmSegment<T>& seg = segments[i];
-          plans[i]->execute(*seg.a, *seg.b, *seg.c, seg.alpha, seg.beta,
-                            guarded ? recs[i].get() : nullptr, deadline);
-        }
-      }
-    } catch (...) {
-      if (!fallback) {
-        for (const ClassGate& gate : gates) {
-          record_breaker(gate.slot, /*degraded=*/true, gate.probe);
-        }
-        throw; // Fast/Check: failures still propagate
-      }
-      // rethrows InvalidArg and Timeout
-      const DegradeEvent event = classify_failure();
-      for (std::size_t i = 0; i < count; ++i) {
-        validate_gemm_fallback(shapes[i], *segments[i].a, *segments[i].b,
-                               *segments[i].c);
-      }
-      // Any segment may hold partial fast-path output; restore and
-      // recompute every lane of every segment on the reference path.
-      std::uint64_t lanes = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        const sched::GemmSegment<T>& seg = segments[i];
-        std::copy(snapshots[i].begin(), snapshots[i].end(),
-                  seg.c->data());
-        for (index_t lane = 0; lane < shapes[i].batch; ++lane) {
-          ref_gemm_lane(shapes[i], seg.alpha, *seg.a, *seg.b, seg.beta,
-                        *seg.c, lane);
-        }
-        healths[i].events |= event;
-        healths[i].fallback = shapes[i].batch;
-        healths[i].first_fallback = shapes[i].batch > 0 ? 0 : -1;
-        lanes += static_cast<std::uint64_t>(shapes[i].batch);
-      }
-      degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-      fallback_lanes_.fetch_add(lanes, std::memory_order_relaxed);
-      for (const ClassGate& gate : gates) {
-        record_breaker(gate.slot, /*degraded=*/true, gate.probe);
-      }
-      return healths;
-    }
-
-    if (guarded) {
-      std::uint64_t lanes = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        if (routed[i] != DegradeEvent::None) {
-          continue; // reference results; nothing to scan or repair
-        }
-        recs[i]->fill(healths[i]);
-        if (healths[i].nonfinite == 0) {
-          continue;
-        }
-        healths[i].events |= DegradeEvent::NumericalHazard;
-        if (!fallback) {
-          continue;
-        }
-        const sched::GemmSegment<T>& seg = segments[i];
-        for (index_t lane = 0; lane < shapes[i].batch; ++lane) {
-          if (!recs[i]->flagged(lane)) {
-            continue;
-          }
-          restore_lane(*seg.c, snapshots[i], lane);
-          ref_gemm_lane(shapes[i], seg.alpha, *seg.a, *seg.b, seg.beta,
-                        *seg.c, lane);
-          if (healths[i].first_fallback < 0) {
-            healths[i].first_fallback = lane;
-          }
-          ++healths[i].fallback;
-        }
-        lanes += static_cast<std::uint64_t>(healths[i].fallback);
-      }
-      if (fallback && lanes > 0) {
-        degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-        fallback_lanes_.fetch_add(lanes, std::memory_order_relaxed);
-      }
-    }
-    for (const ClassGate& gate : gates) {
-      bool degraded = false;
-      for (const std::size_t idx : gate.segs) {
-        degraded = degraded || healths[idx].events != DegradeEvent::None;
-      }
-      record_breaker(gate.slot, degraded, gate.probe);
-    }
-    return healths;
-  } catch (const Error& e) {
-    if (e.status() == Status::Timeout) {
-      timeout_calls_.fetch_add(1, std::memory_order_relaxed);
-    }
-    throw;
-  }
-}
-
-template <class T, int Bytes>
-std::vector<BatchHealth>
-Engine::trsm_grouped(std::span<const sched::TrsmSegment<T>> segments) {
-  using R = real_t<T>;
-  grouped_calls_.fetch_add(1, std::memory_order_relaxed);
-  note_width_call(Bytes);
-  const std::size_t count = segments.size();
-  std::vector<BatchHealth> healths(count);
-  if (count == 0) {
-    return healths;
-  }
-
-  std::vector<TrsmShape> shapes(count);
-  std::vector<sched::ClassKey> keys(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const sched::TrsmSegment<T>& seg = segments[i];
-    IATF_CHECK(seg.a != nullptr && seg.b != nullptr,
-               "trsm_grouped: segment with a null buffer");
-    TrsmShape& s = shapes[i];
-    s.m = seg.b->rows();
-    s.n = seg.b->cols();
-    s.side = seg.side;
-    s.uplo = seg.uplo;
-    s.op_a = seg.op_a;
-    s.diag = seg.diag;
-    s.batch = seg.b->batch();
-    healths[i].batch = s.batch;
-    sched::ClassKey& key = keys[i];
-    key.op = 't';
-    key.m = s.m;
-    key.n = s.n;
-    key.op_a = static_cast<std::uint8_t>(s.op_a);
-    key.side = static_cast<std::uint8_t>(s.side);
-    key.uplo = static_cast<std::uint8_t>(s.uplo);
-    key.diag = static_cast<std::uint8_t>(s.diag);
-    key.batch = s.batch;
-  }
-
-  const ExecPolicy policy = policy_.load(std::memory_order_relaxed);
-  ThreadPool* pool = pool_.load(std::memory_order_relaxed);
-  const std::int64_t budget = deadline_ns_.load(std::memory_order_relaxed);
-  Deadline deadline_at;
-  const Deadline* deadline = nullptr;
-  if (budget > 0) {
-    deadline_at = Deadline::in(std::chrono::nanoseconds(budget));
-    deadline = &deadline_at;
-  }
-
-  const Admit admitted = admit_call(deadline);
-  struct Release {
-    Engine* engine;
-    ~Release() { engine->release_call(); }
-  } release{this};
-
-  const auto route_segment = [&](std::size_t i, DegradeEvent event) {
-    const sched::TrsmSegment<T>& seg = segments[i];
-    validate_trsm_fallback(shapes[i], *seg.a, *seg.b);
-    for (index_t lane = 0; lane < shapes[i].batch; ++lane) {
-      ref_trsm_lane(shapes[i], seg.alpha, *seg.a, *seg.b, lane);
-    }
-    healths[i].events |= event;
-    healths[i].fallback = shapes[i].batch;
-    healths[i].first_fallback = shapes[i].batch > 0 ? 0 : -1;
-  };
-
-  try {
-    const bool guarded = policy != ExecPolicy::Fast;
-    const bool fallback = policy == ExecPolicy::Fallback;
-
-    if (admitted == Admit::RefRoute) {
-      std::uint64_t lanes = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        route_segment(i, DegradeEvent::Overloaded);
-        lanes += static_cast<std::uint64_t>(shapes[i].batch);
-      }
-      degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-      fallback_lanes_.fetch_add(lanes, std::memory_order_relaxed);
-      ref_routed_calls_.fetch_add(1, std::memory_order_relaxed);
-      return healths;
-    }
-
-    // Snapshots and recorders are captured BEFORE any binning/planning
-    // so the whole-call fallback below can restore even when the
-    // scheduler or the planner throws.
-    std::vector<std::unique_ptr<HealthRecorder>> recs(count);
-    std::vector<std::vector<R>> snapshots(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (guarded) {
-        recs[i] = std::make_unique<HealthRecorder>(shapes[i].batch);
-      }
-      if (fallback) {
-        const CompactBuffer<T>& b = *segments[i].b;
-        snapshots[i].assign(b.data(), b.data() + b.size());
-      }
-    }
-
-    std::vector<std::shared_ptr<const plan::TrsmPlan<T, Bytes>>> plans(
-        count);
-    std::vector<DegradeEvent> routed(count, DegradeEvent::None);
-    struct ClassGate {
-      std::size_t slot = 0;
-      bool probe = false;
-      std::vector<std::size_t> segs;
-    };
-    std::vector<ClassGate> gates;
-
-    try {
-      const std::vector<sched::SizeClass> classes =
-          sched::bin_by_descriptor(keys);
-      for (const sched::SizeClass& cls : classes) {
-        const TrsmShape& cshape = shapes[cls.segments.front()];
-        std::size_t slot = 0;
-        bool probe = false;
-        bool route = false;
-        if (breaker_.enabled()) {
-          slot = PlanKeyHash{}(trsm_plan_key<T, Bytes>(cshape));
-          switch (breaker_.admit(slot)) {
-          case resilience::BreakerDecision::RefRoute:
-            route = true;
-            break;
-          case resilience::BreakerDecision::Probe:
-            probe = true;
-            try {
-              IATF_FAULT_POINT("resilience.probe",
-                               ::iatf::Status::Internal);
-            } catch (...) {
-              record_breaker(slot, /*degraded=*/true, /*probe=*/true);
-              probe = false;
-              route = true;
-            }
-            break;
-          case resilience::BreakerDecision::Allow:
-            break;
-          }
-        }
-        if (route) {
-          for (const std::size_t idx : cls.segments) {
-            routed[idx] = DegradeEvent::BreakerOpen;
-          }
-          continue;
-        }
-        auto plan = plan_trsm<T, Bytes>(cshape);
-        if (kernel_verification() && !ensure_verified<T, Bytes>(*plan)) {
-          for (const std::size_t idx : cls.segments) {
-            routed[idx] = DegradeEvent::QuarantinedKernel;
-          }
-          if (breaker_.enabled()) {
-            record_breaker(slot, /*degraded=*/true, probe);
-          }
-          continue;
-        }
-        for (const std::size_t idx : cls.segments) {
-          plans[idx] = plan;
-        }
-        gates.push_back(ClassGate{slot, probe, cls.segments});
-      }
-      record_grouped_plans(classes.size());
-
-      std::uint64_t route_lanes = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        if (routed[i] != DegradeEvent::None) {
-          route_segment(i, routed[i]);
-          route_lanes += static_cast<std::uint64_t>(shapes[i].batch);
-        }
-      }
-      if (route_lanes > 0) {
-        degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-        fallback_lanes_.fetch_add(route_lanes, std::memory_order_relaxed);
-        ref_routed_calls_.fetch_add(1, std::memory_order_relaxed);
-      }
-
-      if (pool != nullptr) {
-        const index_t grain_env = tune::env_group_grain();
-        std::vector<sched::SegmentExtent> extents(count);
-        for (std::size_t i = 0; i < count; ++i) {
-          if (routed[i] != DegradeEvent::None) {
-            continue;
-          }
-          extents[i].groups = segments[i].b->groups();
-          const index_t tuned =
-              grain_env > 0 ? grain_env : plans[i]->chunk_groups();
-          extents[i].item_groups = sched::item_granularity(
-              extents[i].groups, plans[i]->slice_groups(), tuned,
-              static_cast<index_t>(pool->size()));
-          if (extents[i].groups == 0) {
-            const sched::TrsmSegment<T>& seg = segments[i];
-            plans[i]->execute(*seg.a, *seg.b, seg.alpha, nullptr, nullptr);
-          }
-        }
-        const std::vector<sched::WorkItem> items =
-            sched::interleave_slices(extents);
-        pool->parallel_for(
-            0, static_cast<index_t>(items.size()),
-            [&](index_t ib, index_t ie) {
-              for (index_t ii = ib; ii < ie; ++ii) {
-                const sched::WorkItem& it =
-                    items[static_cast<std::size_t>(ii)];
-                const sched::TrsmSegment<T>& seg = segments[it.segment];
-                plans[it.segment]->execute_range(
-                    *seg.a, *seg.b, seg.alpha, it.g_begin, it.g_end,
-                    guarded ? recs[it.segment].get() : nullptr, deadline);
-              }
-            },
-            /*grain=*/1, deadline);
-      } else {
-        for (std::size_t i = 0; i < count; ++i) {
-          if (routed[i] != DegradeEvent::None) {
-            continue;
-          }
-          const sched::TrsmSegment<T>& seg = segments[i];
-          plans[i]->execute(*seg.a, *seg.b, seg.alpha,
-                            guarded ? recs[i].get() : nullptr, deadline);
-        }
-      }
-    } catch (...) {
-      if (!fallback) {
-        for (const ClassGate& gate : gates) {
-          record_breaker(gate.slot, /*degraded=*/true, gate.probe);
-        }
-        throw; // Fast/Check: failures still propagate
-      }
-      // rethrows InvalidArg and Timeout
-      const DegradeEvent event = classify_failure();
-      for (std::size_t i = 0; i < count; ++i) {
-        validate_trsm_fallback(shapes[i], *segments[i].a, *segments[i].b);
-      }
-      std::uint64_t lanes = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        const sched::TrsmSegment<T>& seg = segments[i];
-        std::copy(snapshots[i].begin(), snapshots[i].end(),
-                  seg.b->data());
-        for (index_t lane = 0; lane < shapes[i].batch; ++lane) {
-          ref_trsm_lane(shapes[i], seg.alpha, *seg.a, *seg.b, lane);
-        }
-        healths[i].events |= event;
-        healths[i].fallback = shapes[i].batch;
-        healths[i].first_fallback = shapes[i].batch > 0 ? 0 : -1;
-        lanes += static_cast<std::uint64_t>(shapes[i].batch);
-      }
-      degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-      fallback_lanes_.fetch_add(lanes, std::memory_order_relaxed);
-      for (const ClassGate& gate : gates) {
-        record_breaker(gate.slot, /*degraded=*/true, gate.probe);
-      }
-      return healths;
-    }
-
-    if (guarded) {
-      std::uint64_t lanes = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        if (routed[i] != DegradeEvent::None) {
-          continue; // reference results; nothing to scan or repair
-        }
-        recs[i]->fill(healths[i]);
-        if (healths[i].nonfinite == 0 && healths[i].singular == 0) {
-          continue;
-        }
-        healths[i].events |= DegradeEvent::NumericalHazard;
-        if (!fallback) {
-          continue;
-        }
-        const sched::TrsmSegment<T>& seg = segments[i];
-        for (index_t lane = 0; lane < shapes[i].batch; ++lane) {
-          if (!recs[i]->flagged(lane)) {
-            continue;
-          }
-          restore_lane(*seg.b, snapshots[i], lane);
-          ref_trsm_lane(shapes[i], seg.alpha, *seg.a, *seg.b, lane);
-          if (healths[i].first_fallback < 0) {
-            healths[i].first_fallback = lane;
-          }
-          ++healths[i].fallback;
-        }
-        lanes += static_cast<std::uint64_t>(healths[i].fallback);
-      }
-      if (fallback && lanes > 0) {
-        degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-        fallback_lanes_.fetch_add(lanes, std::memory_order_relaxed);
-      }
-    }
-    for (const ClassGate& gate : gates) {
-      bool degraded = false;
-      for (const std::size_t idx : gate.segs) {
-        degraded = degraded || healths[idx].events != DegradeEvent::None;
-      }
-      record_breaker(gate.slot, degraded, gate.probe);
-    }
-    return healths;
-  } catch (const Error& e) {
-    if (e.status() == Status::Timeout) {
-      timeout_calls_.fetch_add(1, std::memory_order_relaxed);
-    }
-    throw;
-  }
 }
 
 plan::PlanTuning Engine::resolve_tuning(const TuningConfig& config,
@@ -1961,47 +1377,6 @@ void Engine::release_call() noexcept {
     { std::lock_guard<std::mutex> lock(admit_mu_); }
     admit_cv_.notify_one();
   }
-}
-
-template <class T, int Bytes>
-BatchHealth Engine::ref_route_gemm(const GemmShape& shape, T alpha,
-                                   const CompactBuffer<T>& a,
-                                   const CompactBuffer<T>& b, T beta,
-                                   CompactBuffer<T>& c, DegradeEvent event) {
-  validate_gemm_fallback(shape, a, b, c);
-  BatchHealth health;
-  health.batch = shape.batch;
-  for (index_t lane = 0; lane < shape.batch; ++lane) {
-    ref_gemm_lane(shape, alpha, a, b, beta, c, lane);
-  }
-  health.events |= event;
-  health.fallback = shape.batch;
-  health.first_fallback = shape.batch > 0 ? 0 : -1;
-  degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-  fallback_lanes_.fetch_add(static_cast<std::uint64_t>(shape.batch),
-                            std::memory_order_relaxed);
-  ref_routed_calls_.fetch_add(1, std::memory_order_relaxed);
-  return health;
-}
-
-template <class T, int Bytes>
-BatchHealth Engine::ref_route_trsm(const TrsmShape& shape, T alpha,
-                                   const CompactBuffer<T>& a,
-                                   CompactBuffer<T>& b, DegradeEvent event) {
-  validate_trsm_fallback(shape, a, b);
-  BatchHealth health;
-  health.batch = shape.batch;
-  for (index_t lane = 0; lane < shape.batch; ++lane) {
-    ref_trsm_lane(shape, alpha, a, b, lane);
-  }
-  health.events |= event;
-  health.fallback = shape.batch;
-  health.first_fallback = shape.batch > 0 ? 0 : -1;
-  degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-  fallback_lanes_.fetch_add(static_cast<std::uint64_t>(shape.batch),
-                            std::memory_order_relaxed);
-  ref_routed_calls_.fetch_add(1, std::memory_order_relaxed);
-  return health;
 }
 
 template <class T, int Bytes, class Plan>
@@ -2275,13 +1650,13 @@ std::size_t Engine::self_test() {
 template <class T, int Bytes>
 resilience::BreakerState
 Engine::gemm_breaker_state(const GemmShape& shape) const {
-  return breaker_.slot_state(PlanKeyHash{}(gemm_plan_key<T, Bytes>(shape)));
+  return breaker_.slot_state(class_slot<detail::GemmOp<T, Bytes>>(shape));
 }
 
 template <class T, int Bytes>
 resilience::BreakerState
 Engine::trsm_breaker_state(const TrsmShape& shape) const {
-  return breaker_.slot_state(PlanKeyHash{}(trsm_plan_key<T, Bytes>(shape)));
+  return breaker_.slot_state(class_slot<detail::TrsmOp<T, Bytes>>(shape));
 }
 
 // --- Crash-consistent health ledger (DESIGN.md section 14) --------------
@@ -2369,9 +1744,7 @@ void Engine::record_breaker(std::size_t slot_hash, bool degraded,
   }
 }
 
-template <class T, int Bytes>
-void Engine::trip_gemm_class(const GemmShape& shape, int cooldown_calls) {
-  const std::size_t slot = PlanKeyHash{}(gemm_plan_key<T, Bytes>(shape));
+void Engine::trip_class(std::size_t slot, int cooldown_calls) {
   if (cooldown_calls < 0) {
     cooldown_calls = breaker_.config().cooldown;
   }
@@ -2381,14 +1754,13 @@ void Engine::trip_gemm_class(const GemmShape& shape, int cooldown_calls) {
 }
 
 template <class T, int Bytes>
+void Engine::trip_gemm_class(const GemmShape& shape, int cooldown_calls) {
+  trip_class(class_slot<detail::GemmOp<T, Bytes>>(shape), cooldown_calls);
+}
+
+template <class T, int Bytes>
 void Engine::trip_trsm_class(const TrsmShape& shape, int cooldown_calls) {
-  const std::size_t slot = PlanKeyHash{}(trsm_plan_key<T, Bytes>(shape));
-  if (cooldown_calls < 0) {
-    cooldown_calls = breaker_.config().cooldown;
-  }
-  breaker_.force_open(slot, cooldown_calls);
-  journal_watchdog(slot);
-  journal_degrade(static_cast<unsigned>(DegradeEvent::BreakerOpen));
+  trip_class(class_slot<detail::TrsmOp<T, Bytes>>(shape), cooldown_calls);
 }
 
 Engine& Engine::default_engine() {
@@ -2403,27 +1775,40 @@ Engine& Engine::default_engine() {
 
 #define IATF_INSTANTIATE_ENGINE(T, Bytes)                                    \
   template std::shared_ptr<const plan::GemmPlan<T, Bytes>>                  \
-  Engine::plan_gemm<T, Bytes>(const GemmShape&, std::uint8_t);              \
+  Engine::plan_gemm<T, Bytes>(const GemmShape&);                            \
   template std::shared_ptr<const plan::TrsmPlan<T, Bytes>>                  \
-  Engine::plan_trsm<T, Bytes>(const TrsmShape&, std::uint8_t);              \
+  Engine::plan_trsm<T, Bytes>(const TrsmShape&);                            \
   template std::shared_ptr<const factor::FactorPlan<T, Bytes>>              \
-  Engine::plan_factor<T, Bytes>(const factor::FactorShape&, std::uint8_t);  \
+  Engine::plan_factor<T, Bytes>(const factor::FactorShape&);                \
   template BatchHealth Engine::gemm<T, Bytes>(                              \
       Op, Op, T, const CompactBuffer<T>&, const CompactBuffer<T>&, T,       \
       CompactBuffer<T>&);                                                   \
-  template BatchHealth Engine::gemm_at<T, Bytes>(                           \
-      Op, Op, T, const CompactBuffer<T>&, const CompactBuffer<T>&, T,       \
-      CompactBuffer<T>&, std::uint8_t);                                     \
+  template BatchHealth Engine::gemm<T, Bytes>(                              \
+      Op, Op, T, const factor::PackedHandle<T>&,                            \
+      const factor::PackedHandle<T>&, T, factor::PackedHandle<T>&);         \
   template BatchHealth Engine::trsm<T, Bytes>(Side, Uplo, Op, Diag, T,      \
                                               const CompactBuffer<T>&,      \
                                               CompactBuffer<T>&);           \
-  template BatchHealth Engine::trsm_at<T, Bytes>(                           \
-      Side, Uplo, Op, Diag, T, const CompactBuffer<T>&, CompactBuffer<T>&,  \
-      std::uint8_t);                                                        \
+  template BatchHealth Engine::trsm<T, Bytes>(                              \
+      Side, Uplo, Op, Diag, T, const factor::PackedHandle<T>&,              \
+      factor::PackedHandle<T>&);                                            \
   template std::vector<BatchHealth> Engine::gemm_grouped<T, Bytes>(         \
       std::span<const sched::GemmSegment<T>>);                              \
   template std::vector<BatchHealth> Engine::trsm_grouped<T, Bytes>(         \
       std::span<const sched::TrsmSegment<T>>);                              \
+  template BatchHealth Engine::potrf_batch<T, Bytes>(CompactBuffer<T>&);    \
+  template BatchHealth Engine::potrf_batch<T, Bytes>(                       \
+      factor::PackedHandle<T>&);                                            \
+  template BatchHealth Engine::getrf_nopiv_batch<T, Bytes>(                 \
+      CompactBuffer<T>&);                                                   \
+  template BatchHealth Engine::getrf_nopiv_batch<T, Bytes>(                 \
+      factor::PackedHandle<T>&);                                            \
+  template BatchHealth Engine::trtri_batch<T, Bytes>(Uplo, Diag,            \
+                                                     CompactBuffer<T>&);    \
+  template BatchHealth Engine::trtri_batch<T, Bytes>(                       \
+      Uplo, Diag, factor::PackedHandle<T>&);                                \
+  template std::vector<BatchHealth> Engine::factor_grouped<T, Bytes>(       \
+      std::span<const sched::FactorSegment<T>>);                            \
   template resilience::BreakerState Engine::gemm_breaker_state<T, Bytes>(   \
       const GemmShape&) const;                                              \
   template resilience::BreakerState Engine::trsm_breaker_state<T, Bytes>(   \

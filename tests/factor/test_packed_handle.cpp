@@ -1,7 +1,7 @@
 // Persistent packed layouts: PackedHandle lifecycle (pack / adopt /
 // repack / unpack / release), the epoch rules, the packed_reuse_hits /
-// packed_repacks counters, and plan-cache layout keying (packed and
-// raw-buffer variants of one descriptor coexist as distinct entries).
+// packed_repacks counters, and plan-cache sharing (packed and raw-buffer
+// calls of one descriptor use one plan entry).
 #include <complex>
 #include <utility>
 
@@ -189,7 +189,7 @@ TYPED_TEST(PackedHandleTyped, ReuseCountersFollowTheContract) {
   EXPECT_EQ(engine.stats().packed_repacks, 0u);
 }
 
-TYPED_TEST(PackedHandleTyped, LayoutIsPartOfThePlanCacheKey) {
+TYPED_TEST(PackedHandleTyped, HandleCallsShareTheRawPlanCacheEntry) {
   using T = TypeParam;
   Engine engine(CacheInfo::kunpeng920());
   Rng rng(0x9ac4ed07);
@@ -202,6 +202,7 @@ TYPED_TEST(PackedHandleTyped, LayoutIsPartOfThePlanCacheKey) {
 
   engine.gemm<T>(Op::NoTrans, Op::NoTrans, T(1), ca, cb, T(0), cc);
   const std::size_t builds_raw = engine.stats().builds;
+  const std::size_t cached_raw = engine.stats().plan_cache_size;
 
   auto ha = engine.pack<T>(a.data.data(), m, m, a.ld(), a.matrix_stride(),
                            batch);
@@ -209,14 +210,18 @@ TYPED_TEST(PackedHandleTyped, LayoutIsPartOfThePlanCacheKey) {
                            batch);
   auto hc = engine.pack<T>(a.data.data(), m, m, a.ld(), a.matrix_stride(),
                            batch);
-  // Same descriptor through handles: a distinct plan entry is built for
-  // the packed layout state...
+  // The operand form never changes plan construction (DESIGN.md section
+  // 13.2), so a handle call of a descriptor already planned raw builds
+  // nothing and adds no cache entry: it hits the raw call's plan.
+  const std::size_t hits_before = engine.stats().hits;
   engine.gemm<T>(Op::NoTrans, Op::NoTrans, T(1), ha, hb, T(0), hc);
-  EXPECT_EQ(engine.stats().builds, builds_raw + 1);
-  // ...and both variants now hit their own cached entries.
+  EXPECT_EQ(engine.stats().builds, builds_raw);
+  EXPECT_EQ(engine.stats().plan_cache_size, cached_raw);
+  EXPECT_EQ(engine.stats().hits, hits_before + 1);
+  // Both forms keep hitting the one entry.
   engine.gemm<T>(Op::NoTrans, Op::NoTrans, T(1), ca, cb, T(0), cc);
   engine.gemm<T>(Op::NoTrans, Op::NoTrans, T(1), ha, hb, T(0), hc);
-  EXPECT_EQ(engine.stats().builds, builds_raw + 1);
+  EXPECT_EQ(engine.stats().builds, builds_raw);
 }
 
 } // namespace

@@ -1,11 +1,14 @@
 // Engine-level self-healing behaviour: kernel verify-and-quarantine with
 // per-descriptor-class blast radius, admission control (Block /
 // ShedNewest / DegradeToRef), the degradation circuit breaker's
-// deterministic trip/recover cycle, transient-fault retry, and the
-// stats/health observability contract.
+// deterministic trip/recover cycle, transient-fault retry, the
+// stats/health observability contract, and grouped <-> single-call
+// parity of all of the above.
 #include <chrono>
 #include <complex>
 #include <cstdlib>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "iatf/common/error.hpp"
 #include "iatf/common/fault_inject.hpp"
 #include "iatf/core/engine.hpp"
+#include "iatf/parallel/thread_pool.hpp"
 #include "iatf/ref/ref_blas.hpp"
 
 namespace iatf {
@@ -67,6 +71,16 @@ struct MiniGemm {
 
   BatchHealth run_prepared(Engine& e) {
     return e.gemm<double>(Op::Trans, Op::Trans, 1.5, ca, cb, 0.25, cc);
+  }
+
+  // The same descriptor as a one-segment grouped call.
+  BatchHealth run_grouped_prepared(Engine& e) {
+    const sched::GemmSegment<double> seg{Op::Trans, Op::Trans, 1.5, 0.25,
+                                         &ca, &cb, &cc};
+    const auto healths = e.gemm_grouped<double>(
+        std::span<const sched::GemmSegment<double>>(&seg, 1));
+    EXPECT_EQ(healths.size(), 1u);
+    return healths.empty() ? BatchHealth{} : healths.front();
   }
 
   void expect_matches_reference(const std::string& ctx) {
@@ -609,6 +623,239 @@ TEST_F(EngineResilience, GroupedQuarantineDegradesOneClassOnly) {
                             test::ulp_tolerance<double>(s.k),
                             "grouped segment " + std::to_string(i));
   }
+}
+
+// Regression: a grouped call admitted as its class's HalfOpen probe must
+// record the probe's verdict on every exit path. A plan-build failure on
+// the probe used to skip the record, leaving probe_inflight set so every
+// later call of the class was ref-routed for good.
+TEST_F(EngineResilience, GroupedProbeIsRecordedWhenItsPlanBuildFails) {
+  for (const ExecPolicy policy : {ExecPolicy::Fast, ExecPolicy::Fallback}) {
+    SCOPED_TRACE(to_string(policy));
+    Engine e(CacheInfo::kunpeng920());
+    e.set_kernel_verification(false);
+    e.set_policy(policy);
+    e.set_breaker_config({/*window=*/4, /*threshold=*/4, /*cooldown=*/0});
+    MiniGemm fx(8, 8, 4);
+    e.trip_gemm_class<double>(fx.shape(), 0);
+    ASSERT_EQ(e.gemm_breaker_state<double>(fx.shape()),
+              resilience::BreakerState::Open);
+    fx.prepare();
+    {
+      // The next call is the probe; its plan build fails.
+      fault::ScopedFault plan("plan.gemm", 0, 1);
+      try {
+        const BatchHealth h = fx.run_grouped_prepared(e);
+        EXPECT_EQ(policy, ExecPolicy::Fallback);
+        EXPECT_TRUE(has_event(h.events, DegradeEvent::UnsupportedPlan));
+        fx.expect_matches_reference("fallback probe");
+      } catch (const Error& err) {
+        EXPECT_EQ(policy, ExecPolicy::Fast);
+        EXPECT_EQ(err.status(), Status::Unsupported);
+      }
+    }
+    // The failed probe re-opened the slot (cooldown 0)...
+    EXPECT_EQ(e.gemm_breaker_state<double>(fx.shape()),
+              resilience::BreakerState::Open);
+    // ...so the next call probes again and, healthy, closes it.
+    fx.prepare();
+    const BatchHealth h = fx.run_grouped_prepared(e);
+    EXPECT_TRUE(h.clean());
+    fx.expect_matches_reference("recovered probe");
+    EXPECT_EQ(e.gemm_breaker_state<double>(fx.shape()),
+              resilience::BreakerState::Closed);
+  }
+}
+
+// Breaker slots are taken from the low bits of the plan-key hash. Every
+// key field must reach them: transposes, sides and triangles of one size
+// are different descriptor classes with independent slots.
+TEST_F(EngineResilience, BreakerSlotsSeparateTransposesAndSides) {
+  Engine e(CacheInfo::kunpeng920());
+  e.set_breaker_config({/*window=*/4, /*threshold=*/2, /*cooldown=*/4});
+  const GemmShape nn{6, 6, 6, Op::NoTrans, Op::NoTrans, 4};
+  const GemmShape nt{6, 6, 6, Op::NoTrans, Op::Trans, 4};
+  e.trip_gemm_class<double>(nn, -1);
+  EXPECT_EQ(e.gemm_breaker_state<double>(nn),
+            resilience::BreakerState::Open);
+  EXPECT_EQ(e.gemm_breaker_state<double>(nt),
+            resilience::BreakerState::Closed);
+
+  const TrsmShape llnn{6, 6, Side::Left, Uplo::Lower, Op::NoTrans,
+                       Diag::NonUnit, 4};
+  const TrsmShape runu{6, 6, Side::Right, Uplo::Upper, Op::NoTrans,
+                       Diag::Unit, 4};
+  e.trip_trsm_class<double>(llnn, -1);
+  EXPECT_EQ(e.trsm_breaker_state<double>(llnn),
+            resilience::BreakerState::Open);
+  EXPECT_EQ(e.trsm_breaker_state<double>(runu),
+            resilience::BreakerState::Closed);
+}
+
+// --- Grouped <-> single-call parity ---------------------------------------
+
+// Everything one guarded call leaves behind that a caller can observe.
+struct CallOutcome {
+  std::optional<Status> thrown;
+  BatchHealth health;
+  std::vector<double> output; ///< raw storage of the in/out operand
+  EngineStats stats;
+  resilience::BreakerState breaker = resilience::BreakerState::Closed;
+};
+
+void expect_same_outcome(const CallOutcome& single,
+                         const CallOutcome& grouped) {
+  ASSERT_EQ(single.thrown.has_value(), grouped.thrown.has_value());
+  if (single.thrown) {
+    EXPECT_EQ(*single.thrown, *grouped.thrown);
+  } else {
+    const BatchHealth& s = single.health;
+    const BatchHealth& g = grouped.health;
+    EXPECT_EQ(s.batch, g.batch);
+    EXPECT_EQ(s.nonfinite, g.nonfinite);
+    EXPECT_EQ(s.first_nonfinite, g.first_nonfinite);
+    EXPECT_EQ(s.singular, g.singular);
+    EXPECT_EQ(s.first_singular, g.first_singular);
+    EXPECT_EQ(s.fallback, g.fallback);
+    EXPECT_EQ(s.first_fallback, g.first_fallback);
+    EXPECT_EQ(static_cast<unsigned>(s.events),
+              static_cast<unsigned>(g.events));
+    ASSERT_EQ(single.output.size(), grouped.output.size());
+    EXPECT_EQ(std::memcmp(single.output.data(), grouped.output.data(),
+                          single.output.size() * sizeof(double)),
+              0)
+        << "output bits differ";
+  }
+  EXPECT_EQ(single.stats.degraded_calls, grouped.stats.degraded_calls);
+  EXPECT_EQ(single.stats.fallback_lanes, grouped.stats.fallback_lanes);
+  EXPECT_EQ(single.stats.ref_routed_calls, grouped.stats.ref_routed_calls);
+  EXPECT_EQ(single.stats.timeout_calls, grouped.stats.timeout_calls);
+  EXPECT_EQ(single.stats.retries, grouped.stats.retries);
+  EXPECT_EQ(single.breaker, grouped.breaker);
+}
+
+// One well-conditioned double TRSM (Left, Lower, NoTrans, NonUnit).
+struct MiniTrsm {
+  index_t m = 6, n = 4, batch = simd::pack_width_v<double> * 2 + 1;
+  CompactBuffer<double> ca, cb;
+  test::HostBatch<double> b;
+
+  MiniTrsm() {
+    Rng rng(91);
+    test::HostBatch<double> a =
+        test::random_triangular_batch<double>(m, batch, rng);
+    b = test::random_batch<double>(m, n, batch, rng);
+    ca = a.to_compact();
+    ca.pad_identity();
+  }
+
+  TrsmShape shape() const {
+    return TrsmShape{m, n, Side::Left, Uplo::Lower, Op::NoTrans,
+                     Diag::NonUnit, batch};
+  }
+  void prepare() { cb = b.to_compact(); }
+  BatchHealth run_prepared(Engine& e) {
+    return e.trsm<double>(Side::Left, Uplo::Lower, Op::NoTrans,
+                          Diag::NonUnit, 0.5, ca, cb);
+  }
+  BatchHealth run_grouped_prepared(Engine& e) {
+    const sched::TrsmSegment<double> seg{Side::Left, Uplo::Lower,
+                                         Op::NoTrans, Diag::NonUnit,
+                                         0.5,         &ca,
+                                         &cb};
+    const auto healths = e.trsm_grouped<double>(
+        std::span<const sched::TrsmSegment<double>>(&seg, 1));
+    EXPECT_EQ(healths.size(), 1u);
+    return healths.empty() ? BatchHealth{} : healths.front();
+  }
+  const CompactBuffer<double>& out() const { return cb; }
+  void trip(Engine& e) { e.trip_trsm_class<double>(shape(), 0); }
+  resilience::BreakerState state(const Engine& e) const {
+    return e.trsm_breaker_state<double>(shape());
+  }
+};
+
+struct ParityGemm : MiniGemm {
+  ParityGemm() : MiniGemm(8, 8, 4) {}
+  const CompactBuffer<double>& out() const { return cc; }
+  void trip(Engine& e) { e.trip_gemm_class<double>(shape(), 0); }
+  resilience::BreakerState state(const Engine& e) const {
+    return e.gemm_breaker_state<double>(shape());
+  }
+};
+
+struct ParityRow {
+  const char* site;
+  ExecPolicy policy;
+  bool half_open;
+  int attempts;
+};
+
+// Run one row on a fresh engine, as a single call or as a one-segment
+// grouped call, and capture its observable outcome.
+template <class Fx>
+CallOutcome run_parity_row(Fx& fx, const ParityRow& row, bool grouped,
+                           ThreadPool& pool) {
+  Engine e(CacheInfo::kunpeng920());
+  e.set_policy(row.policy);
+  e.set_retry_policy({row.attempts, std::chrono::nanoseconds(0)});
+  e.set_breaker_config({/*window=*/1, /*threshold=*/1, /*cooldown=*/1});
+  if (std::strncmp(row.site, "threadpool.", 11) == 0) {
+    e.set_thread_pool(&pool);
+  }
+  if (row.half_open) {
+    fx.trip(e); // cooldown 0: the call under test is the HalfOpen probe
+  }
+  fx.prepare();
+  CallOutcome out;
+  {
+    fault::ScopedFault fault(row.site, 0, 1);
+    try {
+      out.health = grouped ? fx.run_grouped_prepared(e) : fx.run_prepared(e);
+    } catch (const Error& err) {
+      out.thrown = err.status();
+    }
+  }
+  const CompactBuffer<double>& c = fx.out();
+  out.output.assign(c.data(), c.data() + c.size());
+  out.stats = e.stats();
+  out.breaker = fx.state(e);
+  return out;
+}
+
+template <class Fx>
+void check_grouped_single_parity(Fx& fx, const char* plan_site,
+                                 const char* registry_site) {
+  ThreadPool pool(2);
+  const char* sites[] = {"alloc",      plan_site,          registry_site,
+                         "threadpool.dispatch", "resilience.probe",
+                         "resilience.verify"};
+  for (const char* site : sites) {
+    for (const ExecPolicy policy :
+         {ExecPolicy::Fast, ExecPolicy::Check, ExecPolicy::Fallback}) {
+      for (const bool half_open : {false, true}) {
+        for (const int attempts : {1, 2}) {
+          const ParityRow row{site, policy, half_open, attempts};
+          SCOPED_TRACE(std::string(site) + " " + to_string(policy) +
+                       (half_open ? " half-open" : " closed") + " retry " +
+                       std::to_string(attempts));
+          const CallOutcome single = run_parity_row(fx, row, false, pool);
+          const CallOutcome grouped = run_parity_row(fx, row, true, pool);
+          expect_same_outcome(single, grouped);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(EngineResilience, GroupedGemmMatchesSingleCallUnderEveryFault) {
+  ParityGemm fx;
+  check_grouped_single_parity(fx, "plan.gemm", "registry.gemm");
+}
+
+TEST_F(EngineResilience, GroupedTrsmMatchesSingleCallUnderEveryFault) {
+  MiniTrsm fx;
+  check_grouped_single_parity(fx, "plan.trsm", "registry.tri");
 }
 
 } // namespace
