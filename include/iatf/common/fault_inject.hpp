@@ -39,6 +39,9 @@
 //   "watchdog.stall"      stall (not throw) the dispatcher inside
 //                         execute_batch, for exercising the serve-layer
 //                         watchdog's stalled-dispatch reclamation
+//   "watchdog.reclaim"    stall (not throw) the watchdog after it reclaimed
+//                         a dispatch and before it trips the class, so a
+//                         test can let the retired dispatcher resolve first
 //
 // Arming is process-global (tests that arm faults must not run the same
 // site concurrently from unrelated tests); fault::ScopedFault disarms on

@@ -73,8 +73,7 @@ template <class T> struct FactorSegment {
 /// execution plan. `bytes` carries the buffers' register width so a
 /// coalescing front end never merges requests whose buffers belong to
 /// different ISA backends (the kernel class is part of the identity);
-/// within one engine grouped call it is redundant with the Bytes
-/// template parameter and may stay 0.
+/// the engine fills it from its Bytes template parameter.
 struct ClassKey {
   char op = 0; ///< 'g' (GEMM), 't' (TRSM), 'p'/'l'/'i' (factorisations)
   index_t m = 0, n = 0, k = 0;
@@ -85,10 +84,14 @@ struct ClassKey {
   friend bool operator==(const ClassKey&, const ClassKey&) = default;
 };
 
-/// The ClassKey of one factorisation descriptor (shared by the engine's
-/// factor_grouped binning and by callers pre-binning their own chains).
+/// The ClassKey of one descriptor, one builder per op: the engine's plan
+/// cache, breaker slots and grouped binning, the serving front end's
+/// coalescing and callers pre-binning their own chains all key through
+/// these. `bytes` is the register width of the kernel class.
+ClassKey gemm_class_key(const GemmShape& shape, int bytes);
+ClassKey trsm_class_key(const TrsmShape& shape, int bytes);
 ClassKey factor_class_key(factor::FactorOp op, index_t m, Uplo uplo,
-                          Diag diag, index_t batch);
+                          Diag diag, index_t batch, int bytes);
 
 struct ClassKeyHash {
   std::size_t operator()(const ClassKey& k) const noexcept;

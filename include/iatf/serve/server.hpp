@@ -332,6 +332,10 @@ private:
 
   void enqueue(std::unique_ptr<detail::Request> r,
                const SubmitOptions& opts);
+  /// Enqueue a typed request and hand back its future (the body of every
+  /// submit_* entry point).
+  template <class R>
+  auto submit(std::unique_ptr<R> r, const SubmitOptions& opts);
   /// Dispatcher main loop for one dispatcher generation. A thread whose
   /// `epoch` no longer matches dispatcher_epoch_ was retired by the
   /// watchdog: it exits without touching dispatcher_done_ or the queue.
@@ -342,12 +346,6 @@ private:
                       std::uint64_t epoch);
   void execute_batch(
       std::vector<std::shared_ptr<detail::Request>> batch) noexcept;
-  template <class T>
-  void run_coalesced_gemm(
-      std::vector<std::shared_ptr<detail::Request>>& batch);
-  template <class T>
-  void run_coalesced_trsm(
-      std::vector<std::shared_ptr<detail::Request>>& batch);
   void cancel_queued(std::unique_lock<std::mutex>& lk);
   void join_dispatcher();
   Tenant& tenant_for(TenantId id); ///< mu_ held
@@ -360,9 +358,6 @@ private:
   /// trip the class breaker. `lk` held on entry/exit, released around
   /// the resolutions.
   void reclaim_inflight(std::unique_lock<std::mutex>& lk);
-  /// Force the stalled request's descriptor class Open on the engine's
-  /// breaker (journaled to the health ledger by the engine).
-  void trip_class(const detail::Request& r);
   void stop_watchdog();
 
   Engine& engine_;

@@ -87,54 +87,71 @@ void store_detail(iatf_error_detail detail, int status, unsigned events) {
   g_has_detail = true;
 }
 
-template <class ABuf, class CBuf>
-iatf_error_detail gemm_detail(char dtype, iatf_op op_a, iatf_op op_b,
-                              const ABuf* a, const CBuf* c) {
+/// Operand of a C handle: the CompactBuffer of an iatf_?buf, the
+/// PackedHandle of an iatf_?packed.
+template <class H> auto& operand(H* p) {
+  if constexpr (requires { p->buf; }) {
+    return p->buf;
+  } else {
+    return p->h;
+  }
+}
+
+/// GEMM attribution: the output gives m, n and batch; a compact-buffer
+/// call also reports k from its A operand.
+template <class T, class H>
+iatf_error_detail gemm_detail(iatf_op op_a, iatf_op op_b, const H* a,
+                              const H* c) {
   iatf_error_detail d = blank_detail();
   d.op = 'g';
-  d.dtype = dtype;
+  d.dtype = iatf::blas_prefix_v<T>[0];
   d.op_a = static_cast<int>(op_a);
   d.op_b = static_cast<int>(op_b);
   if (c != nullptr) {
-    d.m = c->buf.rows();
-    d.n = c->buf.cols();
-    d.batch = c->buf.batch();
+    d.m = operand(c).rows();
+    d.n = operand(c).cols();
+    d.batch = operand(c).batch();
   }
-  if (a != nullptr) {
-    d.k = op_a == IATF_NOTRANS ? a->buf.cols() : a->buf.rows();
+  if constexpr (requires { a->buf; }) {
+    if (a != nullptr) {
+      d.k = op_a == IATF_NOTRANS ? a->buf.cols() : a->buf.rows();
+    }
   }
   return d;
 }
 
-template <class BBuf>
-iatf_error_detail trsm_detail(char dtype, iatf_side side, iatf_uplo uplo,
-                              iatf_op op_a, iatf_diag diag, const BBuf* b) {
+template <class T, class H>
+iatf_error_detail trsm_detail(iatf_side side, iatf_uplo uplo, iatf_op op_a,
+                              iatf_diag diag, const H* b) {
   iatf_error_detail d = blank_detail();
   d.op = 't';
-  d.dtype = dtype;
+  d.dtype = iatf::blas_prefix_v<T>[0];
   d.op_a = static_cast<int>(op_a);
   d.side = static_cast<int>(side);
   d.uplo = static_cast<int>(uplo);
   d.diag = static_cast<int>(diag);
   if (b != nullptr) {
-    d.m = b->buf.rows();
-    d.n = b->buf.cols();
-    d.batch = b->buf.batch();
+    d.m = operand(b).rows();
+    d.n = operand(b).cols();
+    d.batch = operand(b).batch();
   }
   return d;
 }
 
-// Factorisation calls: one square descriptor, no second operand.
-iatf_error_detail factor_detail(char op, char dtype, int64_t m,
-                                int64_t batch, int uplo, int diag) {
+// Factorisation calls: one square descriptor, no second operand; uplo
+// and diag are reported for the triangular inverse only.
+template <class T, class H>
+iatf_error_detail factor_detail(iatf::factor::FactorOp op, iatf_uplo uplo,
+                                iatf_diag diag, const H* a) {
+  const bool tri = op == iatf::factor::FactorOp::Trtri;
   iatf_error_detail d = blank_detail();
-  d.op = op;
-  d.dtype = dtype;
-  d.m = m;
-  d.n = m;
-  d.batch = batch;
-  d.uplo = uplo;
-  d.diag = diag;
+  d.op = op == iatf::factor::FactorOp::Potrf ? 'p' : (tri ? 'i' : 'l');
+  d.dtype = iatf::blas_prefix_v<T>[0];
+  d.m = a != nullptr ? operand(a).rows() : 0;
+  d.n = d.m;
+  d.batch = a != nullptr ? operand(a).batch() : 0;
+  d.uplo = tri ? static_cast<int>(uplo) : -1;
+  d.diag = tri ? static_cast<int>(diag) : -1;
   return d;
 }
 
@@ -250,6 +267,82 @@ iatf::Op to_op(iatf_op op) { return static_cast<iatf::Op>(op); }
 iatf::Side to_side(iatf_side s) { return static_cast<iatf::Side>(s); }
 iatf::Uplo to_uplo(iatf_uplo u) { return static_cast<iatf::Uplo>(u); }
 iatf::Diag to_diag(iatf_diag d) { return static_cast<iatf::Diag>(d); }
+
+// C signatures pass a real scalar as one value and a complex one as an
+// (re, im) pair: IATF_SCALAR_PARAMS_<kind> spells the parameters,
+// IATF_SCALAR_ARGS_<kind> forwards them to scalar<T>(), which rebuilds
+// the value.
+#define IATF_SCALAR_PARAMS_real(T, x) iatf::real_t<T> x
+#define IATF_SCALAR_PARAMS_cplx(T, x) \
+  iatf::real_t<T> x##_re, iatf::real_t<T> x##_im
+#define IATF_SCALAR_ARGS_real(x) x
+#define IATF_SCALAR_ARGS_cplx(x) x##_re, x##_im
+
+template <class T>
+T scalar(iatf::real_t<T> re, iatf::real_t<T> im = iatf::real_t<T>(0)) {
+  if constexpr (iatf::is_complex_v<T>) {
+    return T(re, im);
+  } else {
+    (void)im;
+    return re;
+  }
+}
+
+/// The body of iatf_?gemm_compact and iatf_?gemm_packed: the call runs
+/// in the kernel class of C's pack width.
+template <class T, class H>
+int gemm_shim(const char* null_msg, iatf_op op_a, iatf_op op_b, T alpha,
+              const H* a, const H* b, T beta, H* c) {
+  return guarded_blas(gemm_detail<T>(op_a, op_b, a, c), [&] {
+    IATF_CHECK(a != nullptr && b != nullptr && c != nullptr, null_msg);
+    return iatf::dispatch_width<T>(
+        operand(c).pack_width(), [&](auto bytes) {
+          return iatf::Engine::default_engine()
+              .gemm<T, decltype(bytes)::value>(
+                  to_op(op_a), to_op(op_b), alpha, operand(a), operand(b),
+                  beta, operand(c));
+        });
+  });
+}
+
+/// The body of iatf_?trsm_compact and iatf_?trsm_packed.
+template <class T, class H>
+int trsm_shim(const char* null_msg, iatf_side side, iatf_uplo uplo,
+              iatf_op op_a, iatf_diag diag, T alpha, const H* a, H* b) {
+  return guarded_blas(trsm_detail<T>(side, uplo, op_a, diag, b), [&] {
+    IATF_CHECK(a != nullptr && b != nullptr, null_msg);
+    return iatf::dispatch_width<T>(
+        operand(b).pack_width(), [&](auto bytes) {
+          return iatf::Engine::default_engine()
+              .trsm<T, decltype(bytes)::value>(
+                  to_side(side), to_uplo(uplo), to_op(op_a), to_diag(diag),
+                  alpha, operand(a), operand(b));
+        });
+  });
+}
+
+/// The body of the six factorisation shims of a dtype, over a compact
+/// buffer (iatf_?*_batch) or a packed handle (iatf_?*_packed).
+template <class T, class H>
+int factor_shim(const char* null_msg, iatf::factor::FactorOp op, H* a,
+                iatf_uplo uplo = IATF_LOWER, iatf_diag diag = IATF_NONUNIT) {
+  return guarded_blas(factor_detail<T>(op, uplo, diag, a), [&] {
+    IATF_CHECK(a != nullptr, null_msg);
+    auto& x = operand(a);
+    return iatf::dispatch_width<T>(x.pack_width(), [&](auto bytes) {
+      constexpr int kB = decltype(bytes)::value;
+      iatf::Engine& engine = iatf::Engine::default_engine();
+      switch (op) {
+      case iatf::factor::FactorOp::Potrf:
+        return engine.potrf_batch<T, kB>(x);
+      case iatf::factor::FactorOp::GetrfNp:
+        return engine.getrf_nopiv_batch<T, kB>(x);
+      default:
+        return engine.trtri_batch<T, kB>(to_uplo(uplo), to_diag(diag), x);
+      }
+    });
+  });
+}
 
 // Process-wide tuning table behind the C API. Mutations publish an
 // immutable copy to the default engine, which clears its plan cache.
@@ -590,113 +683,30 @@ IATF_DEFINE_BUFFER(c, iatf_cbuf, std::complex<float>, float)
 IATF_DEFINE_BUFFER(z, iatf_zbuf, std::complex<double>, double)
 #undef IATF_DEFINE_BUFFER
 
-extern "C" int iatf_sgemm_compact(iatf_op op_a, iatf_op op_b, float alpha,
-                                  const iatf_sbuf* a, const iatf_sbuf* b,
-                                  float beta, iatf_sbuf* c) {
-  return guarded_blas(gemm_detail('s', op_a, op_b, a, c), [&] {
-    IATF_CHECK(a != nullptr && b != nullptr && c != nullptr,
-               "iatf_sgemm_compact: null buffer");
-    return iatf::compact_gemm<float>(to_op(op_a), to_op(op_b), alpha, a->buf,
-                              b->buf, beta, c->buf);
-  });
-}
-
-extern "C" int iatf_dgemm_compact(iatf_op op_a, iatf_op op_b, double alpha,
-                                  const iatf_dbuf* a, const iatf_dbuf* b,
-                                  double beta, iatf_dbuf* c) {
-  return guarded_blas(gemm_detail('d', op_a, op_b, a, c), [&] {
-    IATF_CHECK(a != nullptr && b != nullptr && c != nullptr,
-               "iatf_dgemm_compact: null buffer");
-    return iatf::compact_gemm<double>(to_op(op_a), to_op(op_b), alpha, a->buf,
-                               b->buf, beta, c->buf);
-  });
-}
-
-extern "C" int iatf_cgemm_compact(iatf_op op_a, iatf_op op_b,
-                                  float alpha_re, float alpha_im,
-                                  const iatf_cbuf* a, const iatf_cbuf* b,
-                                  float beta_re, float beta_im,
-                                  iatf_cbuf* c) {
-  return guarded_blas(gemm_detail('c', op_a, op_b, a, c), [&] {
-    IATF_CHECK(a != nullptr && b != nullptr && c != nullptr,
-               "iatf_cgemm_compact: null buffer");
-    return iatf::compact_gemm<std::complex<float>>(
-        to_op(op_a), to_op(op_b), {alpha_re, alpha_im}, a->buf, b->buf,
-        {beta_re, beta_im}, c->buf);
-  });
-}
-
-extern "C" int iatf_zgemm_compact(iatf_op op_a, iatf_op op_b,
-                                  double alpha_re, double alpha_im,
-                                  const iatf_zbuf* a, const iatf_zbuf* b,
-                                  double beta_re, double beta_im,
-                                  iatf_zbuf* c) {
-  return guarded_blas(gemm_detail('z', op_a, op_b, a, c), [&] {
-    IATF_CHECK(a != nullptr && b != nullptr && c != nullptr,
-               "iatf_zgemm_compact: null buffer");
-    return iatf::compact_gemm<std::complex<double>>(
-        to_op(op_a), to_op(op_b), {alpha_re, alpha_im}, a->buf, b->buf,
-        {beta_re, beta_im}, c->buf);
-  });
-}
-
-extern "C" int iatf_strsm_compact(iatf_side side, iatf_uplo uplo,
-                                  iatf_op op_a, iatf_diag diag,
-                                  float alpha, const iatf_sbuf* a,
-                                  iatf_sbuf* b) {
-  return guarded_blas(trsm_detail('s', side, uplo, op_a, diag, b), [&] {
-    IATF_CHECK(a != nullptr && b != nullptr,
-               "iatf_strsm_compact: null buffer");
-    return iatf::compact_trsm<float>(to_side(side), to_uplo(uplo), to_op(op_a),
-                              to_diag(diag), alpha, a->buf, b->buf);
-  });
-}
-
-extern "C" int iatf_dtrsm_compact(iatf_side side, iatf_uplo uplo,
-                                  iatf_op op_a, iatf_diag diag,
-                                  double alpha, const iatf_dbuf* a,
-                                  iatf_dbuf* b) {
-  return guarded_blas(trsm_detail('d', side, uplo, op_a, diag, b), [&] {
-    IATF_CHECK(a != nullptr && b != nullptr,
-               "iatf_dtrsm_compact: null buffer");
-    return iatf::compact_trsm<double>(to_side(side), to_uplo(uplo), to_op(op_a),
-                               to_diag(diag), alpha, a->buf, b->buf);
-  });
-}
-
-extern "C" int iatf_ctrsm_compact(iatf_side side, iatf_uplo uplo,
-                                  iatf_op op_a, iatf_diag diag,
-                                  float alpha_re, float alpha_im,
-                                  const iatf_cbuf* a, iatf_cbuf* b) {
-  return guarded_blas(trsm_detail('c', side, uplo, op_a, diag, b), [&] {
-    IATF_CHECK(a != nullptr && b != nullptr,
-               "iatf_ctrsm_compact: null buffer");
-    return iatf::compact_trsm<std::complex<float>>(
-        to_side(side), to_uplo(uplo), to_op(op_a), to_diag(diag),
-        {alpha_re, alpha_im}, a->buf, b->buf);
-  });
-}
-
-extern "C" int iatf_ztrsm_compact(iatf_side side, iatf_uplo uplo,
-                                  iatf_op op_a, iatf_diag diag,
-                                  double alpha_re, double alpha_im,
-                                  const iatf_zbuf* a, iatf_zbuf* b) {
-  return guarded_blas(trsm_detail('z', side, uplo, op_a, diag, b), [&] {
-    IATF_CHECK(a != nullptr && b != nullptr,
-               "iatf_ztrsm_compact: null buffer");
-    return iatf::compact_trsm<std::complex<double>>(
-        to_side(side), to_uplo(uplo), to_op(op_a), to_diag(diag),
-        {alpha_re, alpha_im}, a->buf, b->buf);
-  });
-}
-
-// Grouped entry points: convert the C segment arrays into the C++
-// scheduler segments over the opaque buffers' CompactBuffers. Real and
-// complex variants differ only in how the scalars are assembled.
-#define IATF_DEFINE_GEMM_GROUPED(P, T, /*unpack scalars*/...)                       \
+// Compact-buffer compute entry points. The grouped ones convert the C
+// segment arrays into the C++ scheduler segments over the opaque
+// buffers' CompactBuffers.
+#define IATF_DEFINE_COMPACT(P, T, K)                                         \
+  extern "C" int iatf_##P##gemm_compact(                                     \
+      iatf_op op_a, iatf_op op_b, IATF_SCALAR_PARAMS_##K(T, alpha),          \
+      const iatf_##P##buf* a, const iatf_##P##buf* b,                        \
+      IATF_SCALAR_PARAMS_##K(T, beta), iatf_##P##buf* c) {                   \
+    return gemm_shim<T>("iatf_" #P "gemm_compact: null buffer", op_a, op_b,  \
+                        scalar<T>(IATF_SCALAR_ARGS_##K(alpha)), a, b,        \
+                        scalar<T>(IATF_SCALAR_ARGS_##K(beta)), c);           \
+  }                                                                          \
+  extern "C" int iatf_##P##trsm_compact(                                     \
+      iatf_side side, iatf_uplo uplo, iatf_op op_a, iatf_diag diag,          \
+      IATF_SCALAR_PARAMS_##K(T, alpha), const iatf_##P##buf* a,              \
+      iatf_##P##buf* b) {                                                    \
+    return trsm_shim<T>("iatf_" #P "trsm_compact: null buffer", side, uplo,  \
+                        op_a, diag, scalar<T>(IATF_SCALAR_ARGS_##K(alpha)),  \
+                        a, b);                                               \
+  }                                                                          \
   extern "C" int iatf_##P##gemm_grouped(                                     \
       const iatf_##P##gemm_segment* segments, int64_t group_count) {         \
-    return guarded_grouped(grouped_detail('g', *#P, group_count), [&] {      \
+    return guarded_grouped(                                                  \
+        grouped_detail('g', iatf::blas_prefix_v<T>[0], group_count), [&] {   \
       IATF_CHECK(group_count >= 0 &&                                         \
                      (group_count == 0 || segments != nullptr),              \
                  "iatf_" #P "gemm_grouped: invalid segment array");          \
@@ -706,41 +716,19 @@ extern "C" int iatf_ztrsm_compact(iatf_side side, iatf_uplo uplo,
         const iatf_##P##gemm_segment& in = segments[i];                      \
         IATF_CHECK(in.a != nullptr && in.b != nullptr && in.c != nullptr,    \
                    "iatf_" #P "gemm_grouped: segment with a null buffer");   \
-        iatf::sched::GemmSegment<T>& out =                                   \
-            segs[static_cast<std::size_t>(i)];                               \
-        out.op_a = to_op(in.op_a);                                           \
-        out.op_b = to_op(in.op_b);                                           \
-        __VA_ARGS__;                                                         \
-        out.a = &in.a->buf;                                                  \
-        out.b = &in.b->buf;                                                  \
-        out.c = &in.c->buf;                                                  \
+        segs[static_cast<std::size_t>(i)] = {                                \
+            to_op(in.op_a), to_op(in.op_b),                                  \
+            scalar<T>(IATF_SCALAR_ARGS_##K(in.alpha)),                       \
+            scalar<T>(IATF_SCALAR_ARGS_##K(in.beta)),                        \
+            &in.a->buf, &in.b->buf, &in.c->buf};                             \
       }                                                                      \
       return iatf::compact_gemm_grouped<T>(segs);                            \
     });                                                                      \
-  }
-
-IATF_DEFINE_GEMM_GROUPED(s, float, {
-  out.alpha = in.alpha;
-  out.beta = in.beta;
-})
-IATF_DEFINE_GEMM_GROUPED(d, double, {
-  out.alpha = in.alpha;
-  out.beta = in.beta;
-})
-IATF_DEFINE_GEMM_GROUPED(c, std::complex<float>, {
-  out.alpha = {in.alpha_re, in.alpha_im};
-  out.beta = {in.beta_re, in.beta_im};
-})
-IATF_DEFINE_GEMM_GROUPED(z, std::complex<double>, {
-  out.alpha = {in.alpha_re, in.alpha_im};
-  out.beta = {in.beta_re, in.beta_im};
-})
-#undef IATF_DEFINE_GEMM_GROUPED
-
-#define IATF_DEFINE_TRSM_GROUPED(P, T, /*unpack scalars*/...)                       \
+  }                                                                          \
   extern "C" int iatf_##P##trsm_grouped(                                     \
       const iatf_##P##trsm_segment* segments, int64_t group_count) {         \
-    return guarded_grouped(grouped_detail('t', *#P, group_count), [&] {      \
+    return guarded_grouped(                                                  \
+        grouped_detail('t', iatf::blas_prefix_v<T>[0], group_count), [&] {   \
       IATF_CHECK(group_count >= 0 &&                                         \
                      (group_count == 0 || segments != nullptr),              \
                  "iatf_" #P "trsm_grouped: invalid segment array");          \
@@ -750,29 +738,20 @@ IATF_DEFINE_GEMM_GROUPED(z, std::complex<double>, {
         const iatf_##P##trsm_segment& in = segments[i];                      \
         IATF_CHECK(in.a != nullptr && in.b != nullptr,                       \
                    "iatf_" #P "trsm_grouped: segment with a null buffer");   \
-        iatf::sched::TrsmSegment<T>& out =                                   \
-            segs[static_cast<std::size_t>(i)];                               \
-        out.side = to_side(in.side);                                         \
-        out.uplo = to_uplo(in.uplo);                                         \
-        out.op_a = to_op(in.op_a);                                           \
-        out.diag = to_diag(in.diag);                                         \
-        __VA_ARGS__;                                                         \
-        out.a = &in.a->buf;                                                  \
-        out.b = &in.b->buf;                                                  \
+        segs[static_cast<std::size_t>(i)] = {                                \
+            to_side(in.side), to_uplo(in.uplo), to_op(in.op_a),              \
+            to_diag(in.diag), scalar<T>(IATF_SCALAR_ARGS_##K(in.alpha)),     \
+            &in.a->buf, &in.b->buf};                                         \
       }                                                                      \
       return iatf::compact_trsm_grouped<T>(segs);                            \
     });                                                                      \
   }
 
-IATF_DEFINE_TRSM_GROUPED(s, float, { out.alpha = in.alpha; })
-IATF_DEFINE_TRSM_GROUPED(d, double, { out.alpha = in.alpha; })
-IATF_DEFINE_TRSM_GROUPED(c, std::complex<float>, {
-  out.alpha = {in.alpha_re, in.alpha_im};
-})
-IATF_DEFINE_TRSM_GROUPED(z, std::complex<double>, {
-  out.alpha = {in.alpha_re, in.alpha_im};
-})
-#undef IATF_DEFINE_TRSM_GROUPED
+IATF_DEFINE_COMPACT(s, float, real)
+IATF_DEFINE_COMPACT(d, double, real)
+IATF_DEFINE_COMPACT(c, std::complex<float>, cplx)
+IATF_DEFINE_COMPACT(z, std::complex<double>, cplx)
+#undef IATF_DEFINE_COMPACT
 
 extern "C" int iatf_set_plan_tuning(const iatf_plan_tuning* tuning) {
   return guarded([&] {
@@ -879,414 +858,132 @@ extern "C" int iatf_tune_load(const char* path) {
   });
 }
 
-// Packed-layout handles and batched factorisations (s/d). The packed
-// compute shims reuse guarded_blas so hazard reporting matches the
-// _compact routines; the handle-validity checks live in the engine.
-#define IATF_DEFINE_PACKED(P, PACKED, BUF, T, DTYPE)                          \
-  extern "C" PACKED* iatf_##P##pack(const T* src, int64_t rows,               \
-                                    int64_t cols, int64_t ld,                 \
-                                    int64_t matrix_stride, int64_t batch) {   \
-    PACKED* out = nullptr;                                                    \
-    const int rc = guarded([&] {                                              \
-      out = new PACKED{iatf::Engine::default_engine().pack<T>(                \
-          src, rows, cols, ld, matrix_stride, batch,                          \
-          iatf::simd::active_pack_width<T>())};                               \
-    });                                                                       \
-    return rc == 0 ? out : nullptr;                                           \
-  }                                                                           \
-  extern "C" int iatf_##P##repack(PACKED* p, const T* src, int64_t ld,        \
-                                  int64_t matrix_stride) {                    \
-    return guarded([&] {                                                      \
-      IATF_CHECK(p != nullptr, "iatf_" #P "repack: null handle");             \
-      iatf::Engine::default_engine().repack<T>(p->h, src, ld,                 \
-                                               matrix_stride);                \
-    });                                                                       \
-  }                                                                           \
-  extern "C" int iatf_##P##unpack(const PACKED* p, T* dst, int64_t ld,        \
-                                  int64_t matrix_stride) {                    \
-    return guarded([&] {                                                      \
-      IATF_CHECK(p != nullptr, "iatf_" #P "unpack: null handle");             \
-      iatf::Engine::default_engine().unpack<T>(p->h, dst, ld,                 \
-                                               matrix_stride);                \
-    });                                                                       \
-  }                                                                           \
-  extern "C" void iatf_##P##free_packed(PACKED* p) { delete p; }              \
-  extern "C" int64_t iatf_##P##packed_rows(const PACKED* p) {                 \
-    return p != nullptr ? p->h.rows() : -1;                                   \
-  }                                                                           \
-  extern "C" int64_t iatf_##P##packed_cols(const PACKED* p) {                 \
-    return p != nullptr ? p->h.cols() : -1;                                   \
-  }                                                                           \
-  extern "C" int64_t iatf_##P##packed_batch(const PACKED* p) {                \
-    return p != nullptr ? p->h.batch() : -1;                                  \
-  }                                                                           \
-  extern "C" uint64_t iatf_##P##packed_epoch(const PACKED* p) {               \
-    return p != nullptr ? p->h.epoch() : 0;                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##gemm_packed(iatf_op op_a, iatf_op op_b, T alpha,   \
-                                       const PACKED* a, const PACKED* b,      \
-                                       T beta, PACKED* c) {                   \
-    iatf_error_detail d = blank_detail();                                     \
-    d.op = 'g';                                                               \
-    d.dtype = DTYPE;                                                          \
-    d.op_a = static_cast<int>(op_a);                                          \
-    d.op_b = static_cast<int>(op_b);                                          \
-    if (c != nullptr) {                                                       \
-      d.m = c->h.rows();                                                      \
-      d.n = c->h.cols();                                                      \
-      d.batch = c->h.batch();                                                 \
-    }                                                                         \
-    return guarded_blas(d, [&] {                                              \
-      IATF_CHECK(a != nullptr && b != nullptr && c != nullptr,                \
-                 "iatf_" #P "gemm_packed: null handle");                      \
-      return iatf::dispatch_width<T>(c->h.pack_width(), [&](auto bytes) {     \
-        return iatf::Engine::default_engine()                                 \
-            .gemm<T, decltype(bytes)::value>(to_op(op_a), to_op(op_b),        \
-                                             alpha, a->h, b->h, beta, c->h);  \
-      });                                                                     \
-    });                                                                       \
-  }                                                                           \
-  extern "C" int iatf_##P##trsm_packed(iatf_side side, iatf_uplo uplo,        \
-                                       iatf_op op_a, iatf_diag diag,          \
-                                       T alpha, const PACKED* a,              \
-                                       PACKED* b) {                           \
-    iatf_error_detail d = blank_detail();                                     \
-    d.op = 't';                                                               \
-    d.dtype = DTYPE;                                                          \
-    d.op_a = static_cast<int>(op_a);                                          \
-    d.side = static_cast<int>(side);                                          \
-    d.uplo = static_cast<int>(uplo);                                          \
-    d.diag = static_cast<int>(diag);                                          \
-    if (b != nullptr) {                                                       \
-      d.m = b->h.rows();                                                      \
-      d.n = b->h.cols();                                                      \
-      d.batch = b->h.batch();                                                 \
-    }                                                                         \
-    return guarded_blas(d, [&] {                                              \
-      IATF_CHECK(a != nullptr && b != nullptr,                                \
-                 "iatf_" #P "trsm_packed: null handle");                      \
-      return iatf::dispatch_width<T>(b->h.pack_width(), [&](auto bytes) {     \
-        return iatf::Engine::default_engine()                                 \
-            .trsm<T, decltype(bytes)::value>(to_side(side), to_uplo(uplo),    \
-                                             to_op(op_a), to_diag(diag),      \
-                                             alpha, a->h, b->h);              \
-      });                                                                     \
-    });                                                                       \
-  }                                                                           \
-  extern "C" int iatf_##P##potrf_batch(BUF* a) {                              \
-    return guarded_blas(                                                      \
-        factor_detail('p', DTYPE, a != nullptr ? a->buf.rows() : 0,           \
-                      a != nullptr ? a->buf.batch() : 0, -1, -1),             \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr, "iatf_" #P "potrf_batch: null buffer");    \
-          return iatf::dispatch_width<T>(                                    \
-              a->buf.pack_width(), [&](auto bytes) {                          \
-                return iatf::Engine::default_engine()                         \
-                    .potrf_batch<T, decltype(bytes)::value>(a->buf);          \
-              });                                                             \
-        });                                                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##getrfnp_batch(BUF* a) {                            \
-    return guarded_blas(                                                      \
-        factor_detail('l', DTYPE, a != nullptr ? a->buf.rows() : 0,           \
-                      a != nullptr ? a->buf.batch() : 0, -1, -1),             \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr,                                            \
-                     "iatf_" #P "getrfnp_batch: null buffer");                \
-          return iatf::dispatch_width<T>(                                    \
-              a->buf.pack_width(), [&](auto bytes) {                          \
-                return iatf::Engine::default_engine()                         \
-                    .getrf_nopiv_batch<T, decltype(bytes)::value>(a->buf);    \
-              });                                                             \
-        });                                                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##trtri_batch(iatf_uplo uplo, iatf_diag diag,        \
-                                       BUF* a) {                              \
-    return guarded_blas(                                                      \
-        factor_detail('i', DTYPE, a != nullptr ? a->buf.rows() : 0,           \
-                      a != nullptr ? a->buf.batch() : 0,                      \
-                      static_cast<int>(uplo), static_cast<int>(diag)),        \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr, "iatf_" #P "trtri_batch: null buffer");    \
-          return iatf::dispatch_width<T>(                                    \
-              a->buf.pack_width(), [&](auto bytes) {                          \
-                return iatf::Engine::default_engine()                         \
-                    .trtri_batch<T, decltype(bytes)::value>(                  \
-                        to_uplo(uplo), to_diag(diag), a->buf);                \
-              });                                                             \
-        });                                                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##potrf_packed(PACKED* a) {                          \
-    return guarded_blas(                                                      \
-        factor_detail('p', DTYPE, a != nullptr ? a->h.rows() : 0,             \
-                      a != nullptr ? a->h.batch() : 0, -1, -1),               \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr, "iatf_" #P "potrf_packed: null handle");   \
-          return iatf::dispatch_width<T>(                                    \
-              a->h.pack_width(), [&](auto bytes) {                            \
-                return iatf::Engine::default_engine()                         \
-                    .potrf_batch<T, decltype(bytes)::value>(a->h);            \
-              });                                                             \
-        });                                                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##getrfnp_packed(PACKED* a) {                        \
-    return guarded_blas(                                                      \
-        factor_detail('l', DTYPE, a != nullptr ? a->h.rows() : 0,             \
-                      a != nullptr ? a->h.batch() : 0, -1, -1),               \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr,                                            \
-                     "iatf_" #P "getrfnp_packed: null handle");               \
-          return iatf::dispatch_width<T>(                                    \
-              a->h.pack_width(), [&](auto bytes) {                            \
-                return iatf::Engine::default_engine()                         \
-                    .getrf_nopiv_batch<T, decltype(bytes)::value>(a->h);      \
-              });                                                             \
-        });                                                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##trtri_packed(iatf_uplo uplo, iatf_diag diag,       \
-                                        PACKED* a) {                          \
-    return guarded_blas(                                                      \
-        factor_detail('i', DTYPE, a != nullptr ? a->h.rows() : 0,             \
-                      a != nullptr ? a->h.batch() : 0,                        \
-                      static_cast<int>(uplo), static_cast<int>(diag)),        \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr, "iatf_" #P "trtri_packed: null handle");   \
-          return iatf::dispatch_width<T>(                                    \
-              a->h.pack_width(), [&](auto bytes) {                            \
-                return iatf::Engine::default_engine()                         \
-                    .trtri_batch<T, decltype(bytes)::value>(                  \
-                        to_uplo(uplo), to_diag(diag), a->h);                  \
-              });                                                             \
-        });                                                                   \
+// Packed-layout handles and batched factorisations (s/d/c/z). The
+// packed compute shims share the _compact routines' bodies, so hazard
+// reporting matches; the handle-validity checks live in the engine.
+// Complex strided storage is interleaved (re, im) per element, exactly
+// like the complex compact-buffer import/export routines.
+#define IATF_DEFINE_PACKED(P, T, K)                                          \
+  extern "C" iatf_##P##packed* iatf_##P##pack(                               \
+      const iatf::real_t<T>* src, int64_t rows, int64_t cols, int64_t ld,    \
+      int64_t matrix_stride, int64_t batch) {                                \
+    iatf_##P##packed* out = nullptr;                                         \
+    const int rc = guarded([&] {                                             \
+      out = new iatf_##P##packed{iatf::Engine::default_engine().pack<T>(     \
+          reinterpret_cast<const T*>(src), rows, cols, ld, matrix_stride,    \
+          batch, iatf::simd::active_pack_width<T>())};                       \
+    });                                                                      \
+    return rc == 0 ? out : nullptr;                                          \
+  }                                                                          \
+  extern "C" int iatf_##P##repack(iatf_##P##packed* p,                       \
+                                  const iatf::real_t<T>* src, int64_t ld,    \
+                                  int64_t matrix_stride) {                   \
+    return guarded([&] {                                                     \
+      IATF_CHECK(p != nullptr, "iatf_" #P "repack: null handle");            \
+      iatf::Engine::default_engine().repack<T>(                              \
+          p->h, reinterpret_cast<const T*>(src), ld, matrix_stride);         \
+    });                                                                      \
+  }                                                                          \
+  extern "C" int iatf_##P##unpack(const iatf_##P##packed* p,                 \
+                                  iatf::real_t<T>* dst, int64_t ld,          \
+                                  int64_t matrix_stride) {                   \
+    return guarded([&] {                                                     \
+      IATF_CHECK(p != nullptr, "iatf_" #P "unpack: null handle");            \
+      iatf::Engine::default_engine().unpack<T>(                              \
+          p->h, reinterpret_cast<T*>(dst), ld, matrix_stride);               \
+    });                                                                      \
+  }                                                                          \
+  extern "C" void iatf_##P##free_packed(iatf_##P##packed* p) { delete p; }   \
+  extern "C" int64_t iatf_##P##packed_rows(const iatf_##P##packed* p) {      \
+    return p != nullptr ? p->h.rows() : -1;                                  \
+  }                                                                          \
+  extern "C" int64_t iatf_##P##packed_cols(const iatf_##P##packed* p) {      \
+    return p != nullptr ? p->h.cols() : -1;                                  \
+  }                                                                          \
+  extern "C" int64_t iatf_##P##packed_batch(const iatf_##P##packed* p) {     \
+    return p != nullptr ? p->h.batch() : -1;                                 \
+  }                                                                          \
+  extern "C" uint64_t iatf_##P##packed_epoch(const iatf_##P##packed* p) {    \
+    return p != nullptr ? p->h.epoch() : 0;                                  \
+  }                                                                          \
+  extern "C" int iatf_##P##gemm_packed(                                      \
+      iatf_op op_a, iatf_op op_b, IATF_SCALAR_PARAMS_##K(T, alpha),          \
+      const iatf_##P##packed* a, const iatf_##P##packed* b,                  \
+      IATF_SCALAR_PARAMS_##K(T, beta), iatf_##P##packed* c) {                \
+    return gemm_shim<T>("iatf_" #P "gemm_packed: null handle", op_a, op_b,   \
+                        scalar<T>(IATF_SCALAR_ARGS_##K(alpha)), a, b,        \
+                        scalar<T>(IATF_SCALAR_ARGS_##K(beta)), c);           \
+  }                                                                          \
+  extern "C" int iatf_##P##trsm_packed(                                      \
+      iatf_side side, iatf_uplo uplo, iatf_op op_a, iatf_diag diag,          \
+      IATF_SCALAR_PARAMS_##K(T, alpha),                                      \
+      const iatf_##P##packed* a, iatf_##P##packed* b) {                      \
+    return trsm_shim<T>("iatf_" #P "trsm_packed: null handle", side, uplo,   \
+                        op_a, diag, scalar<T>(IATF_SCALAR_ARGS_##K(alpha)),  \
+                        a, b);                                               \
+  }                                                                          \
+  extern "C" int iatf_##P##potrf_batch(iatf_##P##buf* a) {                   \
+    return factor_shim<T>("iatf_" #P "potrf_batch: null buffer",             \
+                          iatf::factor::FactorOp::Potrf, a);                 \
+  }                                                                          \
+  extern "C" int iatf_##P##getrfnp_batch(iatf_##P##buf* a) {                 \
+    return factor_shim<T>("iatf_" #P "getrfnp_batch: null buffer",           \
+                          iatf::factor::FactorOp::GetrfNp, a);               \
+  }                                                                          \
+  extern "C" int iatf_##P##trtri_batch(iatf_uplo uplo, iatf_diag diag,       \
+                                       iatf_##P##buf* a) {                   \
+    return factor_shim<T>("iatf_" #P "trtri_batch: null buffer",             \
+                          iatf::factor::FactorOp::Trtri, a, uplo, diag);     \
+  }                                                                          \
+  extern "C" int iatf_##P##potrf_packed(iatf_##P##packed* a) {               \
+    return factor_shim<T>("iatf_" #P "potrf_packed: null handle",            \
+                          iatf::factor::FactorOp::Potrf, a);                 \
+  }                                                                          \
+  extern "C" int iatf_##P##getrfnp_packed(iatf_##P##packed* a) {             \
+    return factor_shim<T>("iatf_" #P "getrfnp_packed: null handle",          \
+                          iatf::factor::FactorOp::GetrfNp, a);               \
+  }                                                                          \
+  extern "C" int iatf_##P##trtri_packed(iatf_uplo uplo, iatf_diag diag,      \
+                                        iatf_##P##packed* a) {               \
+    return factor_shim<T>("iatf_" #P "trtri_packed: null handle",            \
+                          iatf::factor::FactorOp::Trtri, a, uplo, diag);     \
   }
 
-IATF_DEFINE_PACKED(s, iatf_spacked, iatf_sbuf, float, 's')
-IATF_DEFINE_PACKED(d, iatf_dpacked, iatf_dbuf, double, 'd')
+IATF_DEFINE_PACKED(s, float, real)
+IATF_DEFINE_PACKED(d, double, real)
+IATF_DEFINE_PACKED(c, std::complex<float>, cplx)
+IATF_DEFINE_PACKED(z, std::complex<double>, cplx)
 #undef IATF_DEFINE_PACKED
 
-// Complex packed-layout handles (c/z): same surface with scalars as
-// (re, im) pairs and strided storage interleaved per element, exactly
-// like the complex compact-buffer import/export routines.
-#define IATF_DEFINE_PACKED_CX(P, PACKED, BUF, T, SCALAR, DTYPE)               \
-  extern "C" PACKED* iatf_##P##pack(const SCALAR* src, int64_t rows,          \
-                                    int64_t cols, int64_t ld,                 \
-                                    int64_t matrix_stride, int64_t batch) {   \
-    PACKED* out = nullptr;                                                    \
-    const int rc = guarded([&] {                                              \
-      out = new PACKED{iatf::Engine::default_engine().pack<T>(                \
-          reinterpret_cast<const T*>(src), rows, cols, ld, matrix_stride,     \
-          batch, iatf::simd::active_pack_width<T>())};                        \
-    });                                                                       \
-    return rc == 0 ? out : nullptr;                                           \
-  }                                                                           \
-  extern "C" int iatf_##P##repack(PACKED* p, const SCALAR* src,               \
-                                  int64_t ld, int64_t matrix_stride) {        \
-    return guarded([&] {                                                      \
-      IATF_CHECK(p != nullptr, "iatf_" #P "repack: null handle");             \
-      iatf::Engine::default_engine().repack<T>(                               \
-          p->h, reinterpret_cast<const T*>(src), ld, matrix_stride);          \
-    });                                                                       \
-  }                                                                           \
-  extern "C" int iatf_##P##unpack(const PACKED* p, SCALAR* dst,               \
-                                  int64_t ld, int64_t matrix_stride) {        \
-    return guarded([&] {                                                      \
-      IATF_CHECK(p != nullptr, "iatf_" #P "unpack: null handle");             \
-      iatf::Engine::default_engine().unpack<T>(                               \
-          p->h, reinterpret_cast<T*>(dst), ld, matrix_stride);                \
-    });                                                                       \
-  }                                                                           \
-  extern "C" void iatf_##P##free_packed(PACKED* p) { delete p; }              \
-  extern "C" int64_t iatf_##P##packed_rows(const PACKED* p) {                 \
-    return p != nullptr ? p->h.rows() : -1;                                   \
-  }                                                                           \
-  extern "C" int64_t iatf_##P##packed_cols(const PACKED* p) {                 \
-    return p != nullptr ? p->h.cols() : -1;                                   \
-  }                                                                           \
-  extern "C" int64_t iatf_##P##packed_batch(const PACKED* p) {                \
-    return p != nullptr ? p->h.batch() : -1;                                  \
-  }                                                                           \
-  extern "C" uint64_t iatf_##P##packed_epoch(const PACKED* p) {               \
-    return p != nullptr ? p->h.epoch() : 0;                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##gemm_packed(                                       \
-      iatf_op op_a, iatf_op op_b, SCALAR alpha_re, SCALAR alpha_im,           \
-      const PACKED* a, const PACKED* b, SCALAR beta_re, SCALAR beta_im,       \
-      PACKED* c) {                                                            \
-    iatf_error_detail d = blank_detail();                                     \
-    d.op = 'g';                                                               \
-    d.dtype = DTYPE;                                                          \
-    d.op_a = static_cast<int>(op_a);                                          \
-    d.op_b = static_cast<int>(op_b);                                          \
-    if (c != nullptr) {                                                       \
-      d.m = c->h.rows();                                                      \
-      d.n = c->h.cols();                                                      \
-      d.batch = c->h.batch();                                                 \
-    }                                                                         \
-    return guarded_blas(d, [&] {                                              \
-      IATF_CHECK(a != nullptr && b != nullptr && c != nullptr,                \
-                 "iatf_" #P "gemm_packed: null handle");                      \
-      return iatf::dispatch_width<T>(c->h.pack_width(), [&](auto bytes) {     \
-        return iatf::Engine::default_engine()                                 \
-            .gemm<T, decltype(bytes)::value>(                                 \
-                to_op(op_a), to_op(op_b), T{alpha_re, alpha_im}, a->h, b->h,  \
-                T{beta_re, beta_im}, c->h);                                   \
-      });                                                                     \
-    });                                                                       \
-  }                                                                           \
-  extern "C" int iatf_##P##trsm_packed(iatf_side side, iatf_uplo uplo,        \
-                                       iatf_op op_a, iatf_diag diag,          \
-                                       SCALAR alpha_re, SCALAR alpha_im,      \
-                                       const PACKED* a, PACKED* b) {          \
-    iatf_error_detail d = blank_detail();                                     \
-    d.op = 't';                                                               \
-    d.dtype = DTYPE;                                                          \
-    d.op_a = static_cast<int>(op_a);                                          \
-    d.side = static_cast<int>(side);                                          \
-    d.uplo = static_cast<int>(uplo);                                          \
-    d.diag = static_cast<int>(diag);                                          \
-    if (b != nullptr) {                                                       \
-      d.m = b->h.rows();                                                      \
-      d.n = b->h.cols();                                                      \
-      d.batch = b->h.batch();                                                 \
-    }                                                                         \
-    return guarded_blas(d, [&] {                                              \
-      IATF_CHECK(a != nullptr && b != nullptr,                                \
-                 "iatf_" #P "trsm_packed: null handle");                      \
-      return iatf::dispatch_width<T>(b->h.pack_width(), [&](auto bytes) {     \
-        return iatf::Engine::default_engine()                                 \
-            .trsm<T, decltype(bytes)::value>(                                 \
-                to_side(side), to_uplo(uplo), to_op(op_a), to_diag(diag),     \
-                T{alpha_re, alpha_im}, a->h, b->h);                           \
-      });                                                                     \
-    });                                                                       \
-  }                                                                           \
-  extern "C" int iatf_##P##potrf_batch(BUF* a) {                              \
-    return guarded_blas(                                                      \
-        factor_detail('p', DTYPE, a != nullptr ? a->buf.rows() : 0,           \
-                      a != nullptr ? a->buf.batch() : 0, -1, -1),             \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr, "iatf_" #P "potrf_batch: null buffer");    \
-          return iatf::dispatch_width<T>(                                    \
-              a->buf.pack_width(), [&](auto bytes) {                          \
-                return iatf::Engine::default_engine()                         \
-                    .potrf_batch<T, decltype(bytes)::value>(a->buf);          \
-              });                                                             \
-        });                                                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##getrfnp_batch(BUF* a) {                            \
-    return guarded_blas(                                                      \
-        factor_detail('l', DTYPE, a != nullptr ? a->buf.rows() : 0,           \
-                      a != nullptr ? a->buf.batch() : 0, -1, -1),             \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr,                                            \
-                     "iatf_" #P "getrfnp_batch: null buffer");                \
-          return iatf::dispatch_width<T>(                                    \
-              a->buf.pack_width(), [&](auto bytes) {                          \
-                return iatf::Engine::default_engine()                         \
-                    .getrf_nopiv_batch<T, decltype(bytes)::value>(a->buf);    \
-              });                                                             \
-        });                                                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##trtri_batch(iatf_uplo uplo, iatf_diag diag,        \
-                                       BUF* a) {                              \
-    return guarded_blas(                                                      \
-        factor_detail('i', DTYPE, a != nullptr ? a->buf.rows() : 0,           \
-                      a != nullptr ? a->buf.batch() : 0,                      \
-                      static_cast<int>(uplo), static_cast<int>(diag)),        \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr, "iatf_" #P "trtri_batch: null buffer");    \
-          return iatf::dispatch_width<T>(                                    \
-              a->buf.pack_width(), [&](auto bytes) {                          \
-                return iatf::Engine::default_engine()                         \
-                    .trtri_batch<T, decltype(bytes)::value>(                  \
-                        to_uplo(uplo), to_diag(diag), a->buf);                \
-              });                                                             \
-        });                                                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##potrf_packed(PACKED* a) {                          \
-    return guarded_blas(                                                      \
-        factor_detail('p', DTYPE, a != nullptr ? a->h.rows() : 0,             \
-                      a != nullptr ? a->h.batch() : 0, -1, -1),               \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr, "iatf_" #P "potrf_packed: null handle");   \
-          return iatf::dispatch_width<T>(                                    \
-              a->h.pack_width(), [&](auto bytes) {                            \
-                return iatf::Engine::default_engine()                         \
-                    .potrf_batch<T, decltype(bytes)::value>(a->h);            \
-              });                                                             \
-        });                                                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##getrfnp_packed(PACKED* a) {                        \
-    return guarded_blas(                                                      \
-        factor_detail('l', DTYPE, a != nullptr ? a->h.rows() : 0,             \
-                      a != nullptr ? a->h.batch() : 0, -1, -1),               \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr,                                            \
-                     "iatf_" #P "getrfnp_packed: null handle");               \
-          return iatf::dispatch_width<T>(                                    \
-              a->h.pack_width(), [&](auto bytes) {                            \
-                return iatf::Engine::default_engine()                         \
-                    .getrf_nopiv_batch<T, decltype(bytes)::value>(a->h);      \
-              });                                                             \
-        });                                                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##trtri_packed(iatf_uplo uplo, iatf_diag diag,       \
-                                        PACKED* a) {                          \
-    return guarded_blas(                                                      \
-        factor_detail('i', DTYPE, a != nullptr ? a->h.rows() : 0,             \
-                      a != nullptr ? a->h.batch() : 0,                        \
-                      static_cast<int>(uplo), static_cast<int>(diag)),        \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr, "iatf_" #P "trtri_packed: null handle");   \
-          return iatf::dispatch_width<T>(                                    \
-              a->h.pack_width(), [&](auto bytes) {                            \
-                return iatf::Engine::default_engine()                         \
-                    .trtri_batch<T, decltype(bytes)::value>(                  \
-                        to_uplo(uplo), to_diag(diag), a->h);                  \
-              });                                                             \
-        });                                                                   \
+// Extensions (s/d): triangular multiply, unpivoted LU, Cholesky.
+#define IATF_DEFINE_EXT(P, T)                                                \
+  extern "C" int iatf_##P##trmm_compact(iatf_side side, iatf_uplo uplo,      \
+                                        iatf_op op_a, iatf_diag diag,        \
+                                        T alpha, const iatf_##P##buf* a,     \
+                                        iatf_##P##buf* b) {                  \
+    return guarded([&] {                                                     \
+      IATF_CHECK(a != nullptr && b != nullptr,                               \
+                 "iatf_" #P "trmm_compact: null buffer");                    \
+      iatf::ext::compact_trmm<T>(to_side(side), to_uplo(uplo), to_op(op_a),  \
+                                 to_diag(diag), alpha, a->buf, b->buf);      \
+    });                                                                      \
+  }                                                                          \
+  extern "C" int iatf_##P##getrfnp_compact(iatf_##P##buf* a) {               \
+    return guarded([&] {                                                     \
+      IATF_CHECK(a != nullptr, "iatf_" #P "getrfnp_compact: null buffer");   \
+      iatf::ext::compact_getrf_np<T>(a->buf);                                \
+    });                                                                      \
+  }                                                                          \
+  extern "C" int iatf_##P##potrf_compact(iatf_##P##buf* a) {                 \
+    return guarded([&] {                                                     \
+      IATF_CHECK(a != nullptr, "iatf_" #P "potrf_compact: null buffer");     \
+      iatf::ext::compact_potrf<T>(a->buf);                                   \
+    });                                                                      \
   }
 
-IATF_DEFINE_PACKED_CX(c, iatf_cpacked, iatf_cbuf, std::complex<float>,
-                      float, 'c')
-IATF_DEFINE_PACKED_CX(z, iatf_zpacked, iatf_zbuf, std::complex<double>,
-                      double, 'z')
-#undef IATF_DEFINE_PACKED_CX
-
-extern "C" int iatf_strmm_compact(iatf_side side, iatf_uplo uplo,
-                                  iatf_op op_a, iatf_diag diag,
-                                  float alpha, const iatf_sbuf* a,
-                                  iatf_sbuf* b) {
-  return guarded([&] {
-    iatf::ext::compact_trmm<float>(to_side(side), to_uplo(uplo),
-                                   to_op(op_a), to_diag(diag), alpha,
-                                   a->buf, b->buf);
-  });
-}
-
-extern "C" int iatf_dtrmm_compact(iatf_side side, iatf_uplo uplo,
-                                  iatf_op op_a, iatf_diag diag,
-                                  double alpha, const iatf_dbuf* a,
-                                  iatf_dbuf* b) {
-  return guarded([&] {
-    iatf::ext::compact_trmm<double>(to_side(side), to_uplo(uplo),
-                                    to_op(op_a), to_diag(diag), alpha,
-                                    a->buf, b->buf);
-  });
-}
-
-extern "C" int iatf_sgetrfnp_compact(iatf_sbuf* a) {
-  return guarded([&] { iatf::ext::compact_getrf_np<float>(a->buf); });
-}
-extern "C" int iatf_dgetrfnp_compact(iatf_dbuf* a) {
-  return guarded([&] { iatf::ext::compact_getrf_np<double>(a->buf); });
-}
-extern "C" int iatf_spotrf_compact(iatf_sbuf* a) {
-  return guarded([&] { iatf::ext::compact_potrf<float>(a->buf); });
-}
-extern "C" int iatf_dpotrf_compact(iatf_dbuf* a) {
-  return guarded([&] { iatf::ext::compact_potrf<double>(a->buf); });
-}
+IATF_DEFINE_EXT(s, float)
+IATF_DEFINE_EXT(d, double)
+#undef IATF_DEFINE_EXT
 
 // Runtime ISA selection (multi-ISA dispatch, DESIGN.md section 15).
 // iatf_force_isa refuses an unknown or unavailable backend with

@@ -156,16 +156,51 @@ int finish_submit(iatf_server* server,
 }
 
 template <class Submit>
-int submit_shim(iatf_server* server, uint64_t* ticket, Submit&& submit) {
+int submit_shim(iatf_server* server, uint32_t tenant, double deadline_ms,
+                uint64_t* ticket, Submit&& submit) {
   if (server == nullptr || ticket == nullptr) {
     return IATF_STATUS_INVALID_ARG;
   }
   try {
-    auto cancel = iatf::serve::make_cancel_token();
-    return finish_submit(server, submit(cancel), cancel, ticket);
+    iatf::serve::SubmitOptions opts;
+    opts.tenant = tenant;
+    opts.deadline = from_ms(deadline_ms);
+    opts.cancel = iatf::serve::make_cancel_token();
+    return finish_submit(server, submit(opts), opts.cancel, ticket);
   } catch (...) {
     return status_of_exception();
   }
+}
+
+/// The body of iatf_server_submit_?gemm.
+template <class T, class Buf>
+int submit_gemm(iatf_server* server, iatf_op op_a, iatf_op op_b, T alpha,
+                const Buf* a, const Buf* b, T beta, Buf* c, uint32_t tenant,
+                double deadline_ms, uint64_t* ticket) {
+  if (a == nullptr || b == nullptr || c == nullptr) {
+    return IATF_STATUS_INVALID_ARG;
+  }
+  return submit_shim(server, tenant, deadline_ms, ticket, [&](auto& opts) {
+    return server->server.submit_gemm<T>(
+        static_cast<iatf::Op>(op_a), static_cast<iatf::Op>(op_b), alpha,
+        a->buf, b->buf, beta, c->buf, opts);
+  });
+}
+
+/// The body of iatf_server_submit_?trsm.
+template <class T, class Buf>
+int submit_trsm(iatf_server* server, iatf_side side, iatf_uplo uplo,
+                iatf_op op_a, iatf_diag diag, T alpha, const Buf* a, Buf* b,
+                uint32_t tenant, double deadline_ms, uint64_t* ticket) {
+  if (a == nullptr || b == nullptr) {
+    return IATF_STATUS_INVALID_ARG;
+  }
+  return submit_shim(server, tenant, deadline_ms, ticket, [&](auto& opts) {
+    return server->server.submit_trsm<T>(
+        static_cast<iatf::Side>(side), static_cast<iatf::Uplo>(uplo),
+        static_cast<iatf::Op>(op_a), static_cast<iatf::Diag>(diag), alpha,
+        a->buf, b->buf, opts);
+  });
 }
 
 } // namespace
@@ -177,19 +212,8 @@ extern "C" int iatf_server_submit_sgemm(iatf_server* server, iatf_op op_a,
                                         iatf_sbuf* c, uint32_t tenant,
                                         double deadline_ms,
                                         uint64_t* ticket) {
-  if (a == nullptr || b == nullptr || c == nullptr) {
-    return IATF_STATUS_INVALID_ARG;
-  }
-  return submit_shim(server, ticket,
-                     [&](const iatf::serve::CancelToken& cancel) {
-    iatf::serve::SubmitOptions opts;
-    opts.tenant = tenant;
-    opts.deadline = from_ms(deadline_ms);
-    opts.cancel = cancel;
-    return server->server.submit_gemm<float>(
-        static_cast<iatf::Op>(op_a), static_cast<iatf::Op>(op_b), alpha,
-        a->buf, b->buf, beta, c->buf, opts);
-  });
+  return submit_gemm(server, op_a, op_b, alpha, a, b, beta, c, tenant,
+                     deadline_ms, ticket);
 }
 
 extern "C" int iatf_server_submit_dgemm(iatf_server* server, iatf_op op_a,
@@ -199,19 +223,8 @@ extern "C" int iatf_server_submit_dgemm(iatf_server* server, iatf_op op_a,
                                         iatf_dbuf* c, uint32_t tenant,
                                         double deadline_ms,
                                         uint64_t* ticket) {
-  if (a == nullptr || b == nullptr || c == nullptr) {
-    return IATF_STATUS_INVALID_ARG;
-  }
-  return submit_shim(server, ticket,
-                     [&](const iatf::serve::CancelToken& cancel) {
-    iatf::serve::SubmitOptions opts;
-    opts.tenant = tenant;
-    opts.deadline = from_ms(deadline_ms);
-    opts.cancel = cancel;
-    return server->server.submit_gemm<double>(
-        static_cast<iatf::Op>(op_a), static_cast<iatf::Op>(op_b), alpha,
-        a->buf, b->buf, beta, c->buf, opts);
-  });
+  return submit_gemm(server, op_a, op_b, alpha, a, b, beta, c, tenant,
+                     deadline_ms, ticket);
 }
 
 extern "C" int iatf_server_submit_strsm(iatf_server* server, iatf_side side,
@@ -220,20 +233,8 @@ extern "C" int iatf_server_submit_strsm(iatf_server* server, iatf_side side,
                                         const iatf_sbuf* a, iatf_sbuf* b,
                                         uint32_t tenant, double deadline_ms,
                                         uint64_t* ticket) {
-  if (a == nullptr || b == nullptr) {
-    return IATF_STATUS_INVALID_ARG;
-  }
-  return submit_shim(server, ticket,
-                     [&](const iatf::serve::CancelToken& cancel) {
-    iatf::serve::SubmitOptions opts;
-    opts.tenant = tenant;
-    opts.deadline = from_ms(deadline_ms);
-    opts.cancel = cancel;
-    return server->server.submit_trsm<float>(
-        static_cast<iatf::Side>(side), static_cast<iatf::Uplo>(uplo),
-        static_cast<iatf::Op>(op_a), static_cast<iatf::Diag>(diag), alpha,
-        a->buf, b->buf, opts);
-  });
+  return submit_trsm(server, side, uplo, op_a, diag, alpha, a, b, tenant,
+                     deadline_ms, ticket);
 }
 
 extern "C" int iatf_server_submit_dtrsm(iatf_server* server, iatf_side side,
@@ -242,20 +243,8 @@ extern "C" int iatf_server_submit_dtrsm(iatf_server* server, iatf_side side,
                                         const iatf_dbuf* a, iatf_dbuf* b,
                                         uint32_t tenant, double deadline_ms,
                                         uint64_t* ticket) {
-  if (a == nullptr || b == nullptr) {
-    return IATF_STATUS_INVALID_ARG;
-  }
-  return submit_shim(server, ticket,
-                     [&](const iatf::serve::CancelToken& cancel) {
-    iatf::serve::SubmitOptions opts;
-    opts.tenant = tenant;
-    opts.deadline = from_ms(deadline_ms);
-    opts.cancel = cancel;
-    return server->server.submit_trsm<double>(
-        static_cast<iatf::Side>(side), static_cast<iatf::Uplo>(uplo),
-        static_cast<iatf::Op>(op_a), static_cast<iatf::Diag>(diag), alpha,
-        a->buf, b->buf, opts);
-  });
+  return submit_trsm(server, side, uplo, op_a, diag, alpha, a, b, tenant,
+                     deadline_ms, ticket);
 }
 
 extern "C" int iatf_server_poll(iatf_server* server, uint64_t ticket,

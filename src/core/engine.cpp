@@ -425,9 +425,8 @@ std::shared_ptr<const Plan> Engine::lookup(const PlanKey& key, Make&& make) {
 
 template <class OpT>
 Engine::PlanKey Engine::plan_key(const typename OpT::Shape& shape) {
-  PlanKey key{OpT::class_key(shape), dtype_tag<typename OpT::value_type>()};
-  key.cls.bytes = OpT::bytes;
-  return key;
+  return PlanKey{OpT::class_key(shape),
+                 dtype_tag<typename OpT::value_type>()};
 }
 
 template <class OpT>
@@ -1059,6 +1058,7 @@ std::vector<BatchHealth>
 Engine::factor_grouped(std::span<const sched::FactorSegment<T>> segments) {
   using FactorOpT = detail::FactorOp<T, Bytes>;
   grouped_calls_.fetch_add(1, std::memory_order_relaxed);
+  note_width_call(Bytes);
   const std::size_t count = segments.size();
   std::vector<BatchHealth> healths(count);
   if (count == 0) {

@@ -214,15 +214,7 @@ template <class T, int Bytes> struct GemmOp {
   }
 
   static sched::ClassKey class_key(const Shape& s) {
-    sched::ClassKey key;
-    key.op = 'g';
-    key.m = s.m;
-    key.n = s.n;
-    key.k = s.k;
-    key.op_a = static_cast<std::uint8_t>(s.op_a);
-    key.op_b = static_cast<std::uint8_t>(s.op_b);
-    key.batch = s.batch;
-    return key;
+    return sched::gemm_class_key(s, Bytes);
   }
   static tune::TuneKey tune_key(const Shape& s) {
     return tune::gemm_key<T, Bytes>(s);
@@ -315,16 +307,7 @@ template <class T, int Bytes> struct TrsmOp {
   }
 
   static sched::ClassKey class_key(const Shape& s) {
-    sched::ClassKey key;
-    key.op = 't';
-    key.m = s.m;
-    key.n = s.n;
-    key.op_a = static_cast<std::uint8_t>(s.op_a);
-    key.side = static_cast<std::uint8_t>(s.side);
-    key.uplo = static_cast<std::uint8_t>(s.uplo);
-    key.diag = static_cast<std::uint8_t>(s.diag);
-    key.batch = s.batch;
-    return key;
+    return sched::trsm_class_key(s, Bytes);
   }
   static tune::TuneKey tune_key(const Shape& s) {
     return tune::trsm_key<T, Bytes>(s);
@@ -425,7 +408,8 @@ template <class T, int Bytes> struct FactorOp {
   }
 
   static sched::ClassKey class_key(const Shape& s) {
-    return sched::factor_class_key(s.op, s.m, s.uplo, s.diag, s.batch);
+    return sched::factor_class_key(s.op, s.m, s.uplo, s.diag, s.batch,
+                                   Bytes);
   }
 
   CompactBuffer<T>& inout() const { return *a; }

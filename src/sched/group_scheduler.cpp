@@ -28,8 +28,35 @@ std::size_t ClassKeyHash::operator()(const ClassKey& k) const noexcept {
   return h;
 }
 
+ClassKey gemm_class_key(const GemmShape& shape, int bytes) {
+  ClassKey key;
+  key.op = 'g';
+  key.m = shape.m;
+  key.n = shape.n;
+  key.k = shape.k;
+  key.op_a = static_cast<std::uint8_t>(shape.op_a);
+  key.op_b = static_cast<std::uint8_t>(shape.op_b);
+  key.batch = shape.batch;
+  key.bytes = bytes;
+  return key;
+}
+
+ClassKey trsm_class_key(const TrsmShape& shape, int bytes) {
+  ClassKey key;
+  key.op = 't';
+  key.m = shape.m;
+  key.n = shape.n;
+  key.op_a = static_cast<std::uint8_t>(shape.op_a);
+  key.side = static_cast<std::uint8_t>(shape.side);
+  key.uplo = static_cast<std::uint8_t>(shape.uplo);
+  key.diag = static_cast<std::uint8_t>(shape.diag);
+  key.batch = shape.batch;
+  key.bytes = bytes;
+  return key;
+}
+
 ClassKey factor_class_key(factor::FactorOp op, index_t m, Uplo uplo,
-                          Diag diag, index_t batch) {
+                          Diag diag, index_t batch, int bytes) {
   ClassKey key;
   switch (op) {
   case factor::FactorOp::Potrf:
@@ -46,6 +73,7 @@ ClassKey factor_class_key(factor::FactorOp op, index_t m, Uplo uplo,
   key.uplo = static_cast<std::uint8_t>(uplo);
   key.diag = static_cast<std::uint8_t>(diag);
   key.batch = batch;
+  key.bytes = bytes;
   return key;
 }
 

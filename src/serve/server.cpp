@@ -10,6 +10,7 @@
 #include <atomic>
 #include <complex>
 #include <exception>
+#include <optional>
 #include <utility>
 
 #include "iatf/common/error.hpp"
@@ -34,20 +35,22 @@ Status status_of(const std::exception_ptr& p) noexcept {
   }
 }
 
-/// One queued request. Derived types carry the typed payload and the
-/// promise; the base carries everything the queue and the coalescer
+/// One queued request. Derived types carry the typed payload, the
+/// promise and everything op-specific (execution alone or coalesced,
+/// the breaker trip); the base carries what the queue and the coalescer
 /// need. Resolution invariant: exactly one of resolve-with-value (via
 /// run or a coalesced dispatch) or fail() per request, ever -- enforced
 /// by claim(), because a watchdog reclamation and a later-un-wedging
 /// dispatcher may both try to resolve the same request.
 struct Request {
-  char kind = 0;  ///< 'g'/'t' single gemm/trsm, 'G'/'R' grouped gemm/trsm
-  char dtype = 0; ///< 's', 'd', 'c', 'z'
+  char dtype = 0; ///< blas_prefix_v<T>[0]
   TenantId tenant = 0;
   bool has_deadline = false;
   std::chrono::steady_clock::time_point deadline{};
-  sched::ClassKey key{}; ///< coalescing identity (single requests only)
-  CancelToken cancel;    ///< optional caller-side cancellation flag
+  /// Coalescing identity: the descriptor class, width included. Empty
+  /// for grouped submissions, which never coalesce.
+  std::optional<sched::ClassKey> key;
+  CancelToken cancel; ///< optional caller-side cancellation flag
   std::atomic<bool> settled{false};
 
   /// First claimant wins the right to resolve/fail; a loser's resolution
@@ -58,10 +61,25 @@ struct Request {
   /// Execute alone on `engine` and resolve the promise/callback. Never
   /// throws: engine failures resolve the request with the exception.
   virtual void run(Engine& engine) noexcept = 0;
+  /// Execute `batch` -- this request first, then its same-class mates --
+  /// as one grouped engine call and resolve every member. Throws on a
+  /// dispatch-level failure; the caller then retries member by member.
+  /// Only coalescable requests ever head a batch of more than one, so the
+  /// default just runs this request alone.
+  virtual void run_coalesced(Engine& engine,
+                             std::span<const std::shared_ptr<Request>>) {
+    run(engine);
+  }
   /// Resolve with `error` without executing.
   virtual void fail(std::exception_ptr error) noexcept = 0;
+  /// Force this request's descriptor class Open on the engine's breaker
+  /// (the engine's configured cooldown; a disabled breaker makes this a
+  /// no-op). Called by the watchdog while a reclaimed dispatcher may still
+  /// resolve the request and its caller free the buffers, so it reads
+  /// only what the request owns, never the borrowed operands.
+  virtual void trip(Engine& engine) const noexcept = 0;
 
-  bool coalescable() const noexcept { return kind == 'g' || kind == 't'; }
+  bool coalescable() const noexcept { return key.has_value(); }
   bool expired(std::chrono::steady_clock::time_point now) const noexcept {
     return has_deadline && now >= deadline;
   }
@@ -69,7 +87,7 @@ struct Request {
     return cancel && cancel->load(std::memory_order_relaxed);
   }
   bool same_class(const Request& other) const noexcept {
-    return kind == other.kind && dtype == other.dtype && key == other.key;
+    return coalescable() && dtype == other.dtype && key == other.key;
   }
 };
 
@@ -89,168 +107,199 @@ void notify(const Cb& cb, Args&&... args) noexcept {
   }
 }
 
-template <class T> constexpr char dtype_of() {
-  if constexpr (std::is_same_v<T, float>) {
-    return 's';
-  } else if constexpr (std::is_same_v<T, double>) {
-    return 'd';
-  } else if constexpr (std::is_same_v<T, std::complex<float>>) {
-    return 'c';
-  } else {
-    return 'z';
+/// Serve-side op traits, one per scheduler segment type: the operand
+/// the op writes (whose pack width picks the kernel class), the
+/// descriptor shape the class key and the breaker slot derive from, the
+/// single and grouped engine calls, and the breaker trip (from the shape
+/// alone). Adding an op to the serving front end means adding one of
+/// these.
+template <class Seg> struct ServeOp;
+
+template <class T> struct ServeOp<sched::GemmSegment<T>> {
+  using value_type = T;
+  using Seg = sched::GemmSegment<T>;
+  using Shape = GemmShape;
+
+  static const CompactBuffer<T>* out(const Seg& s) { return s.c; }
+  static Shape shape(const Seg& s) {
+    return Shape{s.c->rows(),
+                 s.c->cols(),
+                 s.op_a == Op::NoTrans ? s.a->cols() : s.a->rows(),
+                 s.op_a,
+                 s.op_b,
+                 s.c->batch()};
   }
+  static sched::ClassKey class_key(const Shape& sh, int bytes) {
+    return sched::gemm_class_key(sh, bytes);
+  }
+  template <int B> static BatchHealth call(Engine& e, const Seg& s) {
+    return e.gemm<T, B>(s.op_a, s.op_b, s.alpha, *s.a, *s.b, s.beta, *s.c);
+  }
+  template <int B>
+  static std::vector<BatchHealth> call_grouped(Engine& e,
+                                               std::span<const Seg> segs) {
+    return e.gemm_grouped<T, B>(segs);
+  }
+  template <int B> static void trip(Engine& e, const Shape& sh) {
+    e.trip_gemm_class<T, B>(sh, -1);
+  }
+};
+
+template <class T> struct ServeOp<sched::TrsmSegment<T>> {
+  using value_type = T;
+  using Seg = sched::TrsmSegment<T>;
+  using Shape = TrsmShape;
+
+  static const CompactBuffer<T>* out(const Seg& s) { return s.b; }
+  static Shape shape(const Seg& s) {
+    return Shape{s.b->rows(), s.b->cols(), s.side,      s.uplo,
+                 s.op_a,      s.diag,      s.b->batch()};
+  }
+  static sched::ClassKey class_key(const Shape& sh, int bytes) {
+    return sched::trsm_class_key(sh, bytes);
+  }
+  template <int B> static BatchHealth call(Engine& e, const Seg& s) {
+    return e.trsm<T, B>(s.side, s.uplo, s.op_a, s.diag, s.alpha, *s.a, *s.b);
+  }
+  template <int B>
+  static std::vector<BatchHealth> call_grouped(Engine& e,
+                                               std::span<const Seg> segs) {
+    return e.trsm_grouped<T, B>(segs);
+  }
+  template <int B> static void trip(Engine& e, const Shape& sh) {
+    e.trip_trsm_class<T, B>(sh, -1);
+  }
+};
+
+/// Invoke `f` with the kernel class of a segment list: the pack width of
+/// the first segment's output buffer (the 128-bit class when there is
+/// none, so the engine reports the empty or null segment itself).
+template <class Seg, class F>
+decltype(auto) with_width(std::span<const Seg> segs, F&& f) {
+  using Traits = ServeOp<Seg>;
+  using T = typename Traits::value_type;
+  const index_t pw = !segs.empty() && Traits::out(segs.front()) != nullptr
+                         ? Traits::out(segs.front())->pack_width()
+                         : simd::pack_width_v<T>;
+  return dispatch_width<T>(pw, [&](auto bytes) {
+    return f.template operator()<decltype(bytes)::value>();
+  });
 }
 
-template <class T> struct GemmRequest final : Request {
-  sched::GemmSegment<T> seg{};
-  std::promise<BatchHealth> promise;
-  Server::Completion cb;
+/// Promise + completion plumbing shared by single and grouped requests.
+/// A failure hands the callback a default Result (a blank BatchHealth,
+/// or an empty health span).
+template <class Result, class Callback> struct PromisedRequest : Request {
+  std::promise<Result> promise;
+  Callback cb;
 
-  void resolve(const BatchHealth& health) noexcept {
+  void resolve(Result value) noexcept {
     if (!claim()) {
       return;
     }
-    notify(cb, Status::Ok, health);
-    promise.set_value(health);
+    notify(cb, Status::Ok, value);
+    promise.set_value(std::move(value));
   }
+  void fail(std::exception_ptr error) noexcept override {
+    if (!claim()) {
+      return;
+    }
+    notify(cb, status_of(error), Result{});
+    promise.set_exception(std::move(error));
+  }
+};
+
+/// One single-descriptor submission (gemm or trsm): coalesces with
+/// queued same-class requests of any tenant.
+template <class Seg>
+struct SingleRequest final
+    : PromisedRequest<BatchHealth, Server::Completion> {
+  using Traits = ServeOp<Seg>;
+  using T = typename Traits::value_type;
+  Seg seg;
+  // Captured at submission for trip(): the buffers `seg` points at are
+  // borrowed and may be gone by the time the watchdog trips the class.
+  typename Traits::Shape shape;
+  index_t width; ///< pack width of the output buffer
+
+  SingleRequest(const Seg& s, Server::Completion on_complete)
+      : seg(s), shape(Traits::shape(s)),
+        width(Traits::out(s)->pack_width()) {
+    cb = std::move(on_complete);
+    dtype = blas_prefix_v<T>[0];
+    key = Traits::class_key(
+        shape, static_cast<int>(width *
+                                static_cast<index_t>(sizeof(real_t<T>))));
+  }
+
+  std::span<const Seg> segs() const { return {&seg, 1}; }
+
   void run(Engine& engine) noexcept override {
     try {
-      resolve(dispatch_width<T>(seg.c->pack_width(), [&](auto bytes) {
-        return engine.gemm<T, decltype(bytes)::value>(
-            seg.op_a, seg.op_b, seg.alpha, *seg.a, *seg.b, seg.beta,
-            *seg.c);
+      resolve(with_width(segs(), [&]<int B>() {
+        return Traits::template call<B>(engine, seg);
       }));
     } catch (...) {
       fail(std::current_exception());
     }
   }
-  void fail(std::exception_ptr error) noexcept override {
-    if (!claim()) {
-      return;
+  void run_coalesced(
+      Engine& engine,
+      std::span<const std::shared_ptr<Request>> batch) override {
+    std::vector<Seg> all;
+    all.reserve(batch.size());
+    for (const auto& r : batch) {
+      all.push_back(static_cast<const SingleRequest&>(*r).seg);
     }
-    notify(cb, status_of(error), BatchHealth{});
-    promise.set_exception(std::move(error));
+    const std::vector<BatchHealth> healths =
+        with_width(segs(), [&]<int B>() {
+          return Traits::template call_grouped<B>(
+              engine, std::span<const Seg>(all));
+        });
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      static_cast<SingleRequest&>(*batch[i]).resolve(healths[i]);
+    }
+  }
+  void trip(Engine& engine) const noexcept override {
+    try {
+      dispatch_width<T>(width, [&](auto bytes) {
+        Traits::template trip<decltype(bytes)::value>(engine, shape);
+      });
+    } catch (...) {
+      // An unsupported width has no breaker slot; the reclamation itself
+      // already happened.
+    }
   }
 };
 
-template <class T> struct TrsmRequest final : Request {
-  sched::TrsmSegment<T> seg{};
-  std::promise<BatchHealth> promise;
-  Server::Completion cb;
+/// One pre-assembled grouped submission: dispatched as-is, never
+/// coalesced.
+template <class Seg>
+struct GroupedRequest final
+    : PromisedRequest<std::vector<BatchHealth>, Server::GroupedCompletion> {
+  using Traits = ServeOp<Seg>;
+  std::vector<Seg> segs;
 
-  void resolve(const BatchHealth& health) noexcept {
-    if (!claim()) {
-      return;
-    }
-    notify(cb, Status::Ok, health);
-    promise.set_value(health);
+  GroupedRequest(std::span<const Seg> s,
+                 Server::GroupedCompletion on_complete)
+      : segs(s.begin(), s.end()) {
+    cb = std::move(on_complete);
   }
+
   void run(Engine& engine) noexcept override {
     try {
-      resolve(dispatch_width<T>(seg.b->pack_width(), [&](auto bytes) {
-        return engine.trsm<T, decltype(bytes)::value>(
-            seg.side, seg.uplo, seg.op_a, seg.diag, seg.alpha, *seg.a,
-            *seg.b);
+      const std::span<const Seg> all(segs);
+      resolve(with_width(all, [&]<int B>() {
+        return Traits::template call_grouped<B>(engine, all);
       }));
     } catch (...) {
       fail(std::current_exception());
     }
   }
-  void fail(std::exception_ptr error) noexcept override {
-    if (!claim()) {
-      return;
-    }
-    notify(cb, status_of(error), BatchHealth{});
-    promise.set_exception(std::move(error));
-  }
+  /// Grouped submissions span many descriptor classes; there is no one
+  /// class to blame, so a reclaim trips nothing.
+  void trip(Engine&) const noexcept override {}
 };
-
-template <class T, class Segment> struct GroupedRequestBase : Request {
-  std::vector<Segment> segs;
-  std::promise<std::vector<BatchHealth>> promise;
-  Server::GroupedCompletion cb;
-
-  void resolve(std::vector<BatchHealth> healths) noexcept {
-    if (!claim()) {
-      return;
-    }
-    notify(cb, Status::Ok,
-           std::span<const BatchHealth>(healths.data(), healths.size()));
-    promise.set_value(std::move(healths));
-  }
-  void fail(std::exception_ptr error) noexcept override {
-    if (!claim()) {
-      return;
-    }
-    notify(cb, status_of(error), std::span<const BatchHealth>());
-    promise.set_exception(std::move(error));
-  }
-};
-
-template <class T>
-struct GroupedGemmRequest final
-    : GroupedRequestBase<T, sched::GemmSegment<T>> {
-  void run(Engine& engine) noexcept override {
-    try {
-      const index_t pw =
-          (!this->segs.empty() && this->segs.front().c != nullptr)
-              ? this->segs.front().c->pack_width()
-              : simd::pack_width_v<T>;
-      this->resolve(dispatch_width<T>(pw, [&](auto bytes) {
-        return engine.gemm_grouped<T, decltype(bytes)::value>(
-            std::span<const sched::GemmSegment<T>>(this->segs));
-      }));
-    } catch (...) {
-      this->fail(std::current_exception());
-    }
-  }
-};
-
-template <class T>
-struct GroupedTrsmRequest final
-    : GroupedRequestBase<T, sched::TrsmSegment<T>> {
-  void run(Engine& engine) noexcept override {
-    try {
-      const index_t pw =
-          (!this->segs.empty() && this->segs.front().b != nullptr)
-              ? this->segs.front().b->pack_width()
-              : simd::pack_width_v<T>;
-      this->resolve(dispatch_width<T>(pw, [&](auto bytes) {
-        return engine.trsm_grouped<T, decltype(bytes)::value>(
-            std::span<const sched::TrsmSegment<T>>(this->segs));
-      }));
-    } catch (...) {
-      this->fail(std::current_exception());
-    }
-  }
-};
-
-sched::ClassKey gemm_key(const GemmShape& s, int bytes) {
-  sched::ClassKey key;
-  key.op = 'g';
-  key.bytes = bytes;
-  key.m = s.m;
-  key.n = s.n;
-  key.k = s.k;
-  key.op_a = static_cast<std::uint8_t>(s.op_a);
-  key.op_b = static_cast<std::uint8_t>(s.op_b);
-  key.batch = s.batch;
-  return key;
-}
-
-sched::ClassKey trsm_key(const TrsmShape& s, int bytes) {
-  sched::ClassKey key;
-  key.op = 't';
-  key.bytes = bytes;
-  key.m = s.m;
-  key.n = s.n;
-  key.op_a = static_cast<std::uint8_t>(s.op_a);
-  key.side = static_cast<std::uint8_t>(s.side);
-  key.uplo = static_cast<std::uint8_t>(s.uplo);
-  key.diag = static_cast<std::uint8_t>(s.diag);
-  key.batch = s.batch;
-  return key;
-}
 
 } // namespace
 } // namespace detail
@@ -576,30 +625,23 @@ void Server::enqueue(std::unique_ptr<detail::Request> r,
   work_cv_.notify_one();
 }
 
+template <class R>
+auto Server::submit(std::unique_ptr<R> r, const SubmitOptions& opts) {
+  auto fut = r->promise.get_future();
+  enqueue(std::move(r), opts);
+  return fut;
+}
+
 template <class T>
 std::future<BatchHealth>
 Server::submit_gemm(Op op_a, Op op_b, T alpha, const CompactBuffer<T>& a,
                     const CompactBuffer<T>& b, T beta, CompactBuffer<T>& c,
                     SubmitOptions opts, Completion on_complete) {
-  auto r = std::make_unique<detail::GemmRequest<T>>();
-  r->kind = 'g';
-  r->dtype = detail::dtype_of<T>();
-  r->seg = sched::GemmSegment<T>{op_a, op_b, alpha, beta, &a, &b, &c};
-  GemmShape shape;
-  shape.m = c.rows();
-  shape.n = c.cols();
-  shape.k = op_a == Op::NoTrans ? a.cols() : a.rows();
-  shape.op_a = op_a;
-  shape.op_b = op_b;
-  shape.batch = c.batch();
-  r->key = detail::gemm_key(
-      shape,
-      static_cast<int>(c.pack_width() *
-                       static_cast<index_t>(sizeof(real_t<T>))));
-  r->cb = std::move(on_complete);
-  std::future<BatchHealth> fut = r->promise.get_future();
-  enqueue(std::move(r), opts);
-  return fut;
+  return submit(
+      std::make_unique<detail::SingleRequest<sched::GemmSegment<T>>>(
+          sched::GemmSegment<T>{op_a, op_b, alpha, beta, &a, &b, &c},
+          std::move(on_complete)),
+      opts);
 }
 
 template <class T>
@@ -607,54 +649,31 @@ std::future<BatchHealth>
 Server::submit_trsm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
                     const CompactBuffer<T>& a, CompactBuffer<T>& b,
                     SubmitOptions opts, Completion on_complete) {
-  auto r = std::make_unique<detail::TrsmRequest<T>>();
-  r->kind = 't';
-  r->dtype = detail::dtype_of<T>();
-  r->seg = sched::TrsmSegment<T>{side, uplo, op_a, diag, alpha, &a, &b};
-  TrsmShape shape;
-  shape.m = b.rows();
-  shape.n = b.cols();
-  shape.side = side;
-  shape.uplo = uplo;
-  shape.op_a = op_a;
-  shape.diag = diag;
-  shape.batch = b.batch();
-  r->key = detail::trsm_key(
-      shape,
-      static_cast<int>(b.pack_width() *
-                       static_cast<index_t>(sizeof(real_t<T>))));
-  r->cb = std::move(on_complete);
-  std::future<BatchHealth> fut = r->promise.get_future();
-  enqueue(std::move(r), opts);
-  return fut;
+  return submit(
+      std::make_unique<detail::SingleRequest<sched::TrsmSegment<T>>>(
+          sched::TrsmSegment<T>{side, uplo, op_a, diag, alpha, &a, &b},
+          std::move(on_complete)),
+      opts);
 }
 
 template <class T>
 std::future<std::vector<BatchHealth>>
 Server::submit_grouped(std::span<const sched::GemmSegment<T>> segments,
                        SubmitOptions opts, GroupedCompletion on_complete) {
-  auto r = std::make_unique<detail::GroupedGemmRequest<T>>();
-  r->kind = 'G';
-  r->dtype = detail::dtype_of<T>();
-  r->segs.assign(segments.begin(), segments.end());
-  r->cb = std::move(on_complete);
-  std::future<std::vector<BatchHealth>> fut = r->promise.get_future();
-  enqueue(std::move(r), opts);
-  return fut;
+  return submit(
+      std::make_unique<detail::GroupedRequest<sched::GemmSegment<T>>>(
+          segments, std::move(on_complete)),
+      opts);
 }
 
 template <class T>
 std::future<std::vector<BatchHealth>>
 Server::submit_grouped(std::span<const sched::TrsmSegment<T>> segments,
                        SubmitOptions opts, GroupedCompletion on_complete) {
-  auto r = std::make_unique<detail::GroupedTrsmRequest<T>>();
-  r->kind = 'R';
-  r->dtype = detail::dtype_of<T>();
-  r->segs.assign(segments.begin(), segments.end());
-  r->cb = std::move(on_complete);
-  std::future<std::vector<BatchHealth>> fut = r->promise.get_future();
-  enqueue(std::move(r), opts);
-  return fut;
+  return submit(
+      std::make_unique<detail::GroupedRequest<sched::TrsmSegment<T>>>(
+          segments, std::move(on_complete)),
+      opts);
 }
 
 // --- Dispatcher --------------------------------------------------------
@@ -851,36 +870,7 @@ void Server::execute_batch(
       batch.front()->run(engine_); // resolves internally, never throws
       return;
     }
-    switch (batch.front()->dtype) {
-    case 's':
-      if (batch.front()->kind == 'g') {
-        run_coalesced_gemm<float>(batch);
-      } else {
-        run_coalesced_trsm<float>(batch);
-      }
-      return;
-    case 'd':
-      if (batch.front()->kind == 'g') {
-        run_coalesced_gemm<double>(batch);
-      } else {
-        run_coalesced_trsm<double>(batch);
-      }
-      return;
-    case 'c':
-      if (batch.front()->kind == 'g') {
-        run_coalesced_gemm<std::complex<float>>(batch);
-      } else {
-        run_coalesced_trsm<std::complex<float>>(batch);
-      }
-      return;
-    default:
-      if (batch.front()->kind == 'g') {
-        run_coalesced_gemm<std::complex<double>>(batch);
-      } else {
-        run_coalesced_trsm<std::complex<double>>(batch);
-      }
-      return;
-    }
+    batch.front()->run_coalesced(engine_, batch);
   } catch (...) {
     // A dispatch-level failure (injected fault, grouped-call rejection)
     // must not take the coalesce-mates down with the culprit: retry each
@@ -894,46 +884,6 @@ void Server::execute_batch(
     for (auto& r : batch) {
       r->run(engine_);
     }
-  }
-}
-
-template <class T>
-void Server::run_coalesced_gemm(
-    std::vector<std::shared_ptr<detail::Request>>& batch) {
-  std::vector<sched::GemmSegment<T>> segs;
-  segs.reserve(batch.size());
-  for (const auto& r : batch) {
-    segs.push_back(
-        static_cast<const detail::GemmRequest<T>*>(r.get())->seg);
-  }
-  const std::vector<BatchHealth> healths =
-      dispatch_width<T>(segs.front().c->pack_width(), [&](auto bytes) {
-        return engine_.gemm_grouped<T, decltype(bytes)::value>(
-            std::span<const sched::GemmSegment<T>>(segs));
-      });
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    static_cast<detail::GemmRequest<T>*>(batch[i].get())
-        ->resolve(healths[i]);
-  }
-}
-
-template <class T>
-void Server::run_coalesced_trsm(
-    std::vector<std::shared_ptr<detail::Request>>& batch) {
-  std::vector<sched::TrsmSegment<T>> segs;
-  segs.reserve(batch.size());
-  for (const auto& r : batch) {
-    segs.push_back(
-        static_cast<const detail::TrsmRequest<T>*>(r.get())->seg);
-  }
-  const std::vector<BatchHealth> healths =
-      dispatch_width<T>(segs.front().b->pack_width(), [&](auto bytes) {
-        return engine_.trsm_grouped<T, decltype(bytes)::value>(
-            std::span<const sched::TrsmSegment<T>>(segs));
-      });
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    static_cast<detail::TrsmRequest<T>*>(batch[i].get())
-        ->resolve(healths[i]);
   }
 }
 
@@ -979,91 +929,20 @@ void Server::reclaim_inflight(std::unique_lock<std::mutex>& lk) {
   completed_ += batch.size();
 
   lk.unlock();
+  // Widens the window in which the retired dispatcher can wake up and
+  // resolve the batch before the trip below (watchdog tests).
+  fault::stall_if_armed("watchdog.reclaim", 1000);
+  // Force the stalled class Open on the engine's breaker (journaled by
+  // the engine) before any future resolves, so a caller that sees the
+  // WatchdogError also sees the Open class.
+  batch.front()->trip(engine_);
   const auto error = std::make_exception_ptr(WatchdogError(
       "iatf: dispatch stalled past the watchdog budget and was "
       "reclaimed; output buffers may be partially written"));
   for (const auto& r : batch) {
     r->fail(error); // claim-gated: a late un-wedged resolution loses
   }
-  trip_class(*batch.front());
   lk.lock();
-}
-
-void Server::trip_class(const detail::Request& r) {
-  // Grouped submissions span many descriptor classes; there is no one
-  // class to blame, so only single-request kinds trip the breaker.
-  // cooldown < 0 = the engine's configured cooldown; a disabled breaker
-  // makes this a no-op (the reclamation itself still happened).
-  constexpr int kCooldown = -1;
-  // The width is part of the descriptor class: trip the breaker slot of
-  // the exact (dtype, width) kernel class that wedged. Keys minted
-  // before a width was known (bytes == 0) fall back to the 128-bit
-  // baseline class.
-  const auto with_width = [&](auto f) {
-    switch (r.key.bytes) {
-    case 32:
-      f(std::integral_constant<int, 32>{});
-      break;
-    case 64:
-      f(std::integral_constant<int, 64>{});
-      break;
-    default:
-      f(std::integral_constant<int, 16>{});
-      break;
-    }
-  };
-  if (r.kind == 'g') {
-    GemmShape s;
-    s.m = r.key.m;
-    s.n = r.key.n;
-    s.k = r.key.k;
-    s.op_a = static_cast<Op>(r.key.op_a);
-    s.op_b = static_cast<Op>(r.key.op_b);
-    s.batch = r.key.batch;
-    with_width([&](auto bytes) {
-      constexpr int kB = decltype(bytes)::value;
-      switch (r.dtype) {
-      case 's':
-        engine_.trip_gemm_class<float, kB>(s, kCooldown);
-        break;
-      case 'd':
-        engine_.trip_gemm_class<double, kB>(s, kCooldown);
-        break;
-      case 'c':
-        engine_.trip_gemm_class<std::complex<float>, kB>(s, kCooldown);
-        break;
-      default:
-        engine_.trip_gemm_class<std::complex<double>, kB>(s, kCooldown);
-        break;
-      }
-    });
-  } else if (r.kind == 't') {
-    TrsmShape s;
-    s.m = r.key.m;
-    s.n = r.key.n;
-    s.side = static_cast<Side>(r.key.side);
-    s.uplo = static_cast<Uplo>(r.key.uplo);
-    s.op_a = static_cast<Op>(r.key.op_a);
-    s.diag = static_cast<Diag>(r.key.diag);
-    s.batch = r.key.batch;
-    with_width([&](auto bytes) {
-      constexpr int kB = decltype(bytes)::value;
-      switch (r.dtype) {
-      case 's':
-        engine_.trip_trsm_class<float, kB>(s, kCooldown);
-        break;
-      case 'd':
-        engine_.trip_trsm_class<double, kB>(s, kCooldown);
-        break;
-      case 'c':
-        engine_.trip_trsm_class<std::complex<float>, kB>(s, kCooldown);
-        break;
-      default:
-        engine_.trip_trsm_class<std::complex<double>, kB>(s, kCooldown);
-        break;
-      }
-    });
-  }
 }
 
 void Server::cancel_queued(std::unique_lock<std::mutex>& lk) {

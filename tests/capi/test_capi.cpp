@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../factor/factor_testutil.hpp"
 #include "../testutil.hpp"
 #include "iatf/capi/iatf.h"
 #include "iatf/ref/ref_blas.hpp"
@@ -403,6 +404,149 @@ TEST(CApi, GroupedRejectsBadArguments) {
   // Zero segments is a valid (empty) call.
   EXPECT_EQ(iatf_dgemm_grouped(nullptr, 0), IATF_STATUS_OK);
   EXPECT_EQ(iatf_strsm_grouped(nullptr, -1), IATF_STATUS_INVALID_ARG);
+}
+
+// --- Extension shims (trmm / unpivoted LU / Cholesky, s and d) ---------
+
+TEST(CApi, ExtShimsRejectNullBuffers) {
+  iatf_sbuf* s = iatf_screate(2, 2, 1);
+  iatf_dbuf* d = iatf_dcreate(2, 2, 1);
+  EXPECT_EQ(iatf_strmm_compact(IATF_LEFT, IATF_LOWER, IATF_NOTRANS,
+                               IATF_NONUNIT, 1.0f, nullptr, s),
+            IATF_STATUS_INVALID_ARG);
+  EXPECT_EQ(iatf_strmm_compact(IATF_LEFT, IATF_LOWER, IATF_NOTRANS,
+                               IATF_NONUNIT, 1.0f, s, nullptr),
+            IATF_STATUS_INVALID_ARG);
+  EXPECT_EQ(iatf_dtrmm_compact(IATF_LEFT, IATF_LOWER, IATF_NOTRANS,
+                               IATF_NONUNIT, 1.0, nullptr, d),
+            IATF_STATUS_INVALID_ARG);
+  EXPECT_EQ(iatf_dtrmm_compact(IATF_LEFT, IATF_LOWER, IATF_NOTRANS,
+                               IATF_NONUNIT, 1.0, d, nullptr),
+            IATF_STATUS_INVALID_ARG);
+  EXPECT_EQ(iatf_sgetrfnp_compact(nullptr), IATF_STATUS_INVALID_ARG);
+  EXPECT_EQ(iatf_dgetrfnp_compact(nullptr), IATF_STATUS_INVALID_ARG);
+  EXPECT_EQ(iatf_spotrf_compact(nullptr), IATF_STATUS_INVALID_ARG);
+  EXPECT_EQ(iatf_dpotrf_compact(nullptr), IATF_STATUS_INVALID_ARG);
+  EXPECT_NE(std::string(iatf_last_error()).find("dpotrf_compact"),
+            std::string::npos);
+  iatf_sdestroy(s);
+  iatf_ddestroy(d);
+}
+
+template <class T> struct ExtApi;
+template <> struct ExtApi<float> {
+  using Buf = iatf_sbuf;
+  static constexpr auto create = &iatf_screate;
+  static constexpr auto destroy = &iatf_sdestroy;
+  static constexpr auto import = &iatf_simport;
+  static constexpr auto export_ = &iatf_sexport;
+  static constexpr auto pad_identity = &iatf_spad_identity;
+  static constexpr auto trmm = &iatf_strmm_compact;
+  static constexpr auto getrfnp = &iatf_sgetrfnp_compact;
+  static constexpr auto potrf = &iatf_spotrf_compact;
+};
+template <> struct ExtApi<double> {
+  using Buf = iatf_dbuf;
+  static constexpr auto create = &iatf_dcreate;
+  static constexpr auto destroy = &iatf_ddestroy;
+  static constexpr auto import = &iatf_dimport;
+  static constexpr auto export_ = &iatf_dexport;
+  static constexpr auto pad_identity = &iatf_dpad_identity;
+  static constexpr auto trmm = &iatf_dtrmm_compact;
+  static constexpr auto getrfnp = &iatf_dgetrfnp_compact;
+  static constexpr auto potrf = &iatf_dpotrf_compact;
+};
+
+template <class T>
+typename ExtApi<T>::Buf* upload(const test::HostBatch<T>& h) {
+  typename ExtApi<T>::Buf* buf = ExtApi<T>::create(h.rows, h.cols, h.batch);
+  for (index_t l = 0; l < h.batch; ++l) {
+    EXPECT_EQ(ExtApi<T>::import(buf, l, h.mat(l), h.ld()), IATF_STATUS_OK);
+  }
+  return buf;
+}
+
+template <class T>
+test::HostBatch<T> download(const typename ExtApi<T>::Buf* buf,
+                            index_t rows, index_t cols, index_t batch) {
+  test::HostBatch<T> out(rows, cols, batch);
+  for (index_t l = 0; l < batch; ++l) {
+    EXPECT_EQ(ExtApi<T>::export_(buf, l, out.mat(l), out.ld()),
+              IATF_STATUS_OK);
+  }
+  return out;
+}
+
+template <class T> class CApiExtTyped : public ::testing::Test {};
+using ExtTypes = ::testing::Types<float, double>;
+TYPED_TEST_SUITE(CApiExtTyped, ExtTypes);
+
+TYPED_TEST(CApiExtTyped, TrmmMatchesReference) {
+  using T = TypeParam;
+  using Api = ExtApi<T>;
+  Rng rng(51);
+  const index_t m = 5, n = 3, batch = simd::pack_width_v<T> + 3;
+  const T alpha = T(1.5);
+  const auto a = test::random_triangular_batch<T>(m, batch, rng);
+  const auto b = test::random_batch<T>(m, n, batch, rng);
+  auto* ca = upload(a);
+  auto* cb = upload(b);
+  ASSERT_EQ(Api::trmm(IATF_LEFT, IATF_UPPER, IATF_TRANS, IATF_NONUNIT,
+                      alpha, ca, cb),
+            IATF_STATUS_OK);
+  auto expected = b;
+  for (index_t l = 0; l < batch; ++l) {
+    ref::trmm<T>(Side::Left, Uplo::Upper, Op::Trans, Diag::NonUnit, m, n,
+                 alpha, a.mat(l), m, expected.mat(l), m);
+  }
+  test::expect_batch_near(expected, download<T>(cb, m, n, batch),
+                          test::ulp_tolerance<T>(m, 128), "capi trmm");
+  Api::destroy(ca);
+  Api::destroy(cb);
+}
+
+TYPED_TEST(CApiExtTyped, GetrfnpMatchesReference) {
+  using T = TypeParam;
+  using Api = ExtApi<T>;
+  Rng rng(52);
+  const index_t m = 6, batch = simd::pack_width_v<T> + 3;
+  const auto host = test::random_diag_dominant_batch<T>(m, batch, rng);
+  auto* ca = upload(host);
+  ASSERT_EQ(Api::pad_identity(ca), IATF_STATUS_OK);
+  ASSERT_EQ(Api::getrfnp(ca), IATF_STATUS_OK);
+  auto expected = host;
+  for (index_t l = 0; l < batch; ++l) {
+    ref::getrf_np<T>(m, expected.mat(l), m);
+  }
+  test::expect_batch_near(expected, download<T>(ca, m, m, batch),
+                          test::ulp_tolerance<T>(m, 128), "capi getrfnp");
+  Api::destroy(ca);
+}
+
+TYPED_TEST(CApiExtTyped, PotrfMatchesReference) {
+  using T = TypeParam;
+  using Api = ExtApi<T>;
+  Rng rng(53);
+  const index_t m = 6, batch = simd::pack_width_v<T> + 3;
+  const auto host = test::random_spd_batch<T>(m, batch, rng);
+  auto* ca = upload(host);
+  ASSERT_EQ(Api::pad_identity(ca), IATF_STATUS_OK);
+  ASSERT_EQ(Api::potrf(ca), IATF_STATUS_OK);
+  auto expected = host;
+  test::ref_potrf_batch(expected);
+  const auto actual = download<T>(ca, m, m, batch);
+  // Compare the lower triangles only (the upper one is scratch).
+  const T tol = test::ulp_tolerance<T>(m, 256) * static_cast<T>(m);
+  for (index_t l = 0; l < batch; ++l) {
+    for (index_t j = 0; j < m; ++j) {
+      for (index_t i = j; i < m; ++i) {
+        ASSERT_NEAR(actual.mat(l)[j * m + i], expected.mat(l)[j * m + i],
+                    tol)
+            << "capi potrf lane " << l << " (" << i << "," << j << ")";
+      }
+    }
+  }
+  Api::destroy(ca);
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -15,8 +16,10 @@
 
 #include "../testutil.hpp"
 #include "iatf/core/engine.hpp"
+#include "iatf/core/width_dispatch.hpp"
 #include "iatf/parallel/thread_pool.hpp"
 #include "iatf/ref/ref_blas.hpp"
+#include "iatf/simd/isa.hpp"
 
 namespace iatf {
 namespace {
@@ -385,6 +388,63 @@ TEST(EngineGrouped, GroupGrainEnvOverridesItemGranularity) {
       std::span<const sched::GemmSegment<double>>(fx.segs));
   unsetenv("IATF_GROUP_GRAIN");
   fx.verify("grain-1 grouped gemm");
+}
+
+// EngineStats::width16/32/64_calls count one compute call per entry
+// point against the kernel width class it ran in: single and grouped,
+// GEMM, TRSM and the factorisations alike. Runs every width class the
+// host can execute.
+TEST(EngineGrouped, WidthCountersCoverEveryOpSingleAndGrouped) {
+  std::set<int> widths;
+  for (const simd::Isa isa : simd::supported_isas()) {
+    widths.insert(simd::isa_bytes(isa));
+  }
+  ASSERT_TRUE(widths.count(16));
+  for (const int bytes : widths) {
+    const index_t pw = bytes / static_cast<index_t>(sizeof(double));
+    const index_t m = 4, batch = pw + 1;
+    Rng rng(77);
+    const auto tri = test::random_triangular_batch<double>(m, batch, rng);
+    const auto gen = test::random_batch<double>(m, m, batch, rng);
+    test::HostBatch<double> spd(m, m, batch); // 2 I: trivially SPD
+    for (index_t l = 0; l < batch; ++l) {
+      for (index_t d = 0; d < m; ++d) {
+        spd.mat(l)[d * m + d] = 2.0;
+      }
+    }
+    CompactBuffer<double> a = tri.to_compact(pw);
+    CompactBuffer<double> b = gen.to_compact(pw);
+    CompactBuffer<double> c = gen.to_compact(pw);
+    CompactBuffer<double> f = spd.to_compact(pw);
+    a.pad_identity();
+
+    Engine engine(CacheInfo::kunpeng920());
+    dispatch_width<double>(pw, [&](auto width) {
+      constexpr int kB = decltype(width)::value;
+      const sched::GemmSegment<double> gseg{Op::NoTrans, Op::NoTrans, 1.0,
+                                            0.0, &a, &b, &c};
+      const sched::TrsmSegment<double> tseg{Side::Left, Uplo::Lower,
+                                            Op::NoTrans, Diag::NonUnit,
+                                            1.0, &a, &b};
+      const sched::FactorSegment<double> fseg{factor::FactorOp::Potrf,
+                                              Uplo::Lower, Diag::NonUnit, &f};
+      engine.gemm<double, kB>(Op::NoTrans, Op::NoTrans, 1.0, a, b, 0.0, c);
+      engine.trsm<double, kB>(Side::Left, Uplo::Lower, Op::NoTrans,
+                              Diag::NonUnit, 1.0, a, b);
+      engine.potrf_batch<double, kB>(f);
+      engine.gemm_grouped<double, kB>(
+          std::span<const sched::GemmSegment<double>>(&gseg, 1));
+      engine.trsm_grouped<double, kB>(
+          std::span<const sched::TrsmSegment<double>>(&tseg, 1));
+      engine.factor_grouped<double, kB>(
+          std::span<const sched::FactorSegment<double>>(&fseg, 1));
+    });
+    const EngineStats s = engine.stats();
+    const std::string ctx = "width " + std::to_string(bytes) + "B";
+    EXPECT_EQ(s.width16_calls, bytes == 16 ? 6u : 0u) << ctx;
+    EXPECT_EQ(s.width32_calls, bytes == 32 ? 6u : 0u) << ctx;
+    EXPECT_EQ(s.width64_calls, bytes == 64 ? 6u : 0u) << ctx;
+  }
 }
 
 } // namespace

@@ -8,7 +8,9 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -169,6 +171,72 @@ TEST_F(WatchdogTest, ReclaimTripsTheClassBreakerAndJournals) {
   EXPECT_GE(stats.watchdog_reclaims, 1u);
   std::remove(path.c_str());
   std::remove((path + ".lock").c_str());
+}
+
+TEST_F(WatchdogTest, ReclaimTripsTheTrsmClassBreaker) {
+  Engine engine(CacheInfo::kunpeng920());
+  engine.set_kernel_verification(false);
+  engine.set_breaker_config({/*window=*/4, /*threshold=*/2, /*cooldown=*/2});
+  Rng rng(419);
+  const index_t m = 4, n = 3, batch = simd::pack_width_v<double> + 1;
+  const auto a = test::random_triangular_batch<double>(m, batch, rng);
+  const auto b = test::random_batch<double>(m, n, batch, rng);
+  CompactBuffer<double> ca = a.to_compact();
+  ca.pad_identity();
+  CompactBuffer<double> cb = b.to_compact();
+  const TrsmShape shape{m,           n,             Side::Left, Uplo::Lower,
+                        Op::NoTrans, Diag::NonUnit, batch};
+  {
+    Server server(engine, watchdog_config());
+    fault::ScopedFault stall("watchdog.stall", 0, 1);
+    std::future<BatchHealth> stuck = server.submit_trsm<double>(
+        shape.side, shape.uplo, shape.op_a, shape.diag, 1.0, ca, cb);
+    ASSERT_EQ(stuck.wait_for(10s), std::future_status::ready);
+    EXPECT_THROW((void)stuck.get(), WatchdogError);
+    // The TRSM class is forced Open; a GEMM class of the same dimensions
+    // is a different descriptor class and stays Closed.
+    EXPECT_EQ(engine.trsm_breaker_state<double>(shape),
+              resilience::BreakerState::Open);
+    EXPECT_EQ(engine.gemm_breaker_state<double>(GemmShape{
+                  m, n, m, Op::NoTrans, Op::NoTrans, batch}),
+              resilience::BreakerState::Closed);
+    server.stop();
+  }
+}
+
+TEST_F(WatchdogTest, LateTripReadsNoBufferTheCallerHasFreed) {
+  // The watchdog reclaims the wedged dispatch, then stalls before its
+  // trip; meanwhile the retired dispatcher wakes up, runs the call and
+  // resolves the request, and the caller frees its buffers. The late trip
+  // must still name the right class without touching them (run under
+  // ASan, a trip that re-reads the operands is a heap-use-after-free).
+  Engine engine(CacheInfo::kunpeng920());
+  engine.set_kernel_verification(false);
+  engine.set_breaker_config({/*window=*/4, /*threshold=*/2, /*cooldown=*/2});
+  auto pool = std::make_unique<GemmPool>(1);
+  const GemmShape shape = pool->shape();
+  {
+    Server server(engine, watchdog_config());
+    fault::ScopedFault stall("watchdog.stall", 0, 1);
+    fault::arm("watchdog.reclaim", 0, 1);
+    std::future<BatchHealth> fut = pool->submit(server, 0);
+    ASSERT_EQ(fut.wait_for(10s), std::future_status::ready);
+    // The un-wedged dispatcher claimed the request before the watchdog
+    // got round to failing it.
+    EXPECT_TRUE(fut.get().clean());
+    pool->expect_correct(0, "resolved by the retired dispatcher");
+    pool.reset();
+    const auto until = std::chrono::steady_clock::now() + 10s;
+    while (engine.gemm_breaker_state<double>(shape) !=
+               resilience::BreakerState::Open &&
+           std::chrono::steady_clock::now() < until) {
+      std::this_thread::sleep_for(5ms);
+    }
+    EXPECT_EQ(engine.gemm_breaker_state<double>(shape),
+              resilience::BreakerState::Open);
+    EXPECT_EQ(server.stats().watchdog_kicks, 1u);
+    server.stop();
+  }
 }
 
 TEST_F(WatchdogTest, DeadlineScalesTheStallBudget) {
